@@ -1,32 +1,30 @@
-"""Online serving throughput — the concurrency ladder, thread vs process lanes.
+"""Online serving throughput — the concurrency ladder.
 
 The concurrency-32 regression this bench guards against: the original
 serving stack *lost* throughput going from concurrency 8 to 32 (39,474 ->
 33,018 requests/s; latency 7.4 -> 25.3 ms) because every added client
 thread bought more GIL contention, per-kernel lock churn and dict
 rebuilding instead of more coalescing.  The fix — flat-array lowerings, a
-preallocated flush path, conditional wakeups, and optional shared-memory
-worker processes (``lane_mode="process"``) — must make the ladder
+preallocated flush path and conditional wakeups — must make the ladder
 **monotone**: requests/s may only grow (within a noise tolerance) from
-concurrency 1 through 8, 32 and 64, in both lane modes, and the process
-mode must at least double the old 39,474 requests/s peak.
+concurrency 1 through 8, 32 and 64, and the peak must at least double the
+old 39,474 requests/s.
 
 Workload (shared with ``profile_serving.py`` via ``serving_workload``): a
 hot-content corpus of 2000 large basic blocks on a SKL-like machine with
 a 64-instruction ISA; clients pipeline groups of 4 blocks with a window
 of 8 in-flight groups; request streams are precomputed outside the timed
-region and identical across trials, lane modes and concurrency levels.
-Each (mode, concurrency) cell reports the best of 3 trials, interleaved
-across the grid so host drift hits every cell alike.
+region and identical across trials and concurrency levels.  Each
+concurrency level reports the best of its trials, interleaved across the
+ladder so host drift hits every level alike.
 
 Asserted invariants:
 
 * every served response is **bitwise-identical** to the offline scalar
-  prediction of the same block, in both lane modes (dedicated identity
-  pass at concurrency 32);
-* requests/s is monotone up the ladder within a 0.85 tolerance ratio, in
-  both lane modes;
-* the process-lane peak is >= 2x the pre-fix 39,474 requests/s;
+  prediction of the same block (dedicated identity pass at concurrency
+  32);
+* requests/s is monotone up the ladder within a 0.85 tolerance ratio;
+* the peak is >= 2x the pre-fix 39,474 requests/s;
 * concurrency 32 sustains >= 5x the per-request scalar loop;
 * nothing is refused, dropped or failed at any load.
 
@@ -61,16 +59,16 @@ from serving_workload import (
     serving_machine as build_serving_machine,
 )
 
-#: Requests per (mode, concurrency, trial) run.
+#: Requests per (concurrency, trial) run.
 REQUESTS = 32000
-#: The pre-fix throughput peak (requests/s at concurrency 8); the process
-#: lane must at least double it.
+#: The pre-fix throughput peak (requests/s at concurrency 8); the ladder's
+#: peak must at least double it.
 PRE_FIX_PEAK_RPS = 39474.0
 #: The concurrency ladder; the regression lived at the 8 -> 32 step.
 LADDER = (1, 8, 32, 64)
-LANE_MODES = ("thread", "process")
-#: Best-of-N per grid cell; the 1-core host jitters by ~20% run to run, so
-#: the ladder needs several interleaved sweeps for the best to stabilize.
+#: Best-of-N per ladder rung; the 1-core host jitters by ~20% run to run,
+#: so the ladder needs several interleaved sweeps for the best to
+#: stabilize.
 TRIALS = 5
 #: Noise tolerance for the monotonicity assertion: each rung must reach at
 #: least this fraction of the best rung below it (single-core CI hosts
@@ -102,29 +100,23 @@ def scalar_predictor(bench_machine):
     )
 
 
-def _fresh_service(registry, lane_mode):
-    return PredictionService(
-        registry, max_batch_size=1024, max_pending=None, lane_mode=lane_mode
-    )
+def _fresh_service(registry):
+    return PredictionService(registry, max_batch_size=1024, max_pending=None)
 
 
-def _timed_run(registry, lane_mode, fingerprint, corpus, streams):
+def _timed_run(registry, fingerprint, corpus, streams):
     """One warmed throughput run; returns (requests/s, stats snapshot)."""
     from serving_workload import run_clients
 
-    with _fresh_service(registry, lane_mode) as service:
+    with _fresh_service(registry) as service:
         # Warm the lowering cache into the sustained regime (the corpus is
-        # hot content: every block repeats many times) and, in process
-        # mode, bring the worker lane up before the clock starts.
+        # hot content: every block repeats many times) before the clock
+        # starts.
         service.predict_many(fingerprint, corpus)
         elapsed, counts = run_clients(
             service, fingerprint, streams, collect=False
         )
         snapshot = service.snapshot()
-        if lane_mode == "process":
-            assert service.router._process_lanes, (
-                "process lane mode silently fell back to threads"
-            )
     requests = sum(counts)
     assert snapshot["requests_refused"] == 0
     assert snapshot["requests_failed"] == 0
@@ -136,8 +128,7 @@ def test_serving_identical_under_concurrency(
 ):
     """CI smoke: concurrent served responses are bitwise-equal to scalar.
 
-    Runs both lane modes — thread and shared-memory process workers — and
-    checks micro-batches actually form (occupancy > 1) with nothing
+    Also checks micro-batches actually form (occupancy > 1) with nothing
     refused or dropped.
     """
     from serving_workload import run_clients
@@ -145,35 +136,27 @@ def test_serving_identical_under_concurrency(
     fingerprint = machine_fingerprint(bench_machine)
     reference = scalar_reference_table(scalar_predictor, bench_corpus)
     streams = build_streams(bench_corpus, concurrency=8, total_requests=4000)
-    for lane_mode in LANE_MODES:
-        with _fresh_service(bench_registry, lane_mode) as service:
-            elapsed, responses = run_clients(
-                service, fingerprint, streams, collect=True
-            )
-            snapshot = service.snapshot()
-            if lane_mode == "process":
-                # Guard against a silent degradation to thread evaluation
-                # (the worker spawn warns and falls back on failure).
-                assert service.router._process_lanes, (
-                    "process lane mode silently fell back to threads"
-                )
-
-        checked = 0
-        for results in responses:
-            for kernel, prediction in results:
-                assert identical(prediction, reference[id(kernel)]), (
-                    f"served response differs from scalar ({lane_mode} lane)"
-                )
-                checked += 1
-        assert checked == 4000
-        assert snapshot["requests_completed"] == 4000
-        assert snapshot["requests_refused"] == 0
-        assert snapshot["requests_failed"] == 0
-        assert snapshot["batch_occupancy_mean"] > 1.5, (
-            f"concurrent traffic must coalesce into micro-batches, got mean "
-            f"occupancy {snapshot['batch_occupancy_mean']:.2f} "
-            f"({lane_mode} lane)"
+    with _fresh_service(bench_registry) as service:
+        elapsed, responses = run_clients(
+            service, fingerprint, streams, collect=True
         )
+        snapshot = service.snapshot()
+
+    checked = 0
+    for results in responses:
+        for kernel, prediction in results:
+            assert identical(prediction, reference[id(kernel)]), (
+                "served response differs from scalar"
+            )
+            checked += 1
+    assert checked == 4000
+    assert snapshot["requests_completed"] == 4000
+    assert snapshot["requests_refused"] == 0
+    assert snapshot["requests_failed"] == 0
+    assert snapshot["batch_occupancy_mean"] > 1.5, (
+        f"concurrent traffic must coalesce into micro-batches, got mean "
+        f"occupancy {snapshot['batch_occupancy_mean']:.2f}"
+    )
 
 
 def test_serving_throughput_scaling(
@@ -187,51 +170,46 @@ def test_serving_throughput_scaling(
         for concurrency in LADDER
     }
 
-    # Interleave trials across the whole (mode, concurrency) grid so that
-    # slow host drift biases every cell equally rather than one column.
+    # Interleave trials across the whole ladder so that slow host drift
+    # biases every rung equally rather than one.
     best = {}
     snapshots = {}
     for _ in range(TRIALS):
-        for lane_mode in LANE_MODES:
-            for concurrency in LADDER:
-                rps, snapshot = _timed_run(
-                    bench_registry,
-                    lane_mode,
-                    fingerprint,
-                    bench_corpus,
-                    streams_by_concurrency[concurrency],
-                )
-                key = (lane_mode, concurrency)
-                if rps > best.get(key, 0.0):
-                    best[key] = rps
-                    snapshots[key] = snapshot
+        for concurrency in LADDER:
+            rps, snapshot = _timed_run(
+                bench_registry,
+                fingerprint,
+                bench_corpus,
+                streams_by_concurrency[concurrency],
+            )
+            if rps > best.get(concurrency, 0.0):
+                best[concurrency] = rps
+                snapshots[concurrency] = snapshot
 
-    # Identity pass: at the regression's concurrency, every response in
-    # both lane modes is bitwise-equal to the offline scalar prediction.
+    # Identity pass: at the regression's concurrency, every response is
+    # bitwise-equal to the offline scalar prediction.
     from serving_workload import run_clients
 
     reference = scalar_reference_table(scalar_predictor, bench_corpus)
     identity_streams = build_streams(
         bench_corpus, concurrency=32, total_requests=8000, seed=8800
     )
-    for lane_mode in LANE_MODES:
-        with _fresh_service(bench_registry, lane_mode) as service:
-            _, responses = run_clients(
-                service, fingerprint, identity_streams, collect=True
+    with _fresh_service(bench_registry) as service:
+        _, responses = run_clients(
+            service, fingerprint, identity_streams, collect=True
+        )
+    checked = 0
+    for results in responses:
+        for kernel, prediction in results:
+            assert identical(prediction, reference[id(kernel)]), (
+                "served response differs from offline scalar prediction"
             )
-        checked = 0
-        for results in responses:
-            for kernel, prediction in results:
-                assert identical(prediction, reference[id(kernel)]), (
-                    f"served response differs from offline scalar "
-                    f"prediction ({lane_mode} lane)"
-                )
-                checked += 1
-        assert checked == 8000
+            checked += 1
+    assert checked == 8000
 
     # -- report --------------------------------------------------------------
     lines = [
-        "=== Online serving: concurrency ladder, thread vs process lanes ===",
+        "=== Online serving: concurrency ladder ===",
         f"corpus: {CORPUS_BLOCKS} hot blocks "
         f"({BLOCK_DISTINCT[0]}-{BLOCK_DISTINCT[1]} distinct instructions), "
         f"SKL-like machine, 64-instruction ISA",
@@ -241,42 +219,38 @@ def test_serving_throughput_scaling(
         f"scalar per-request loop baseline: {baseline_rps:,.0f} requests/s",
         f"pre-fix peak (concurrency 8):     {PRE_FIX_PEAK_RPS:,.0f} requests/s",
         "",
-        f"{'lane mode':>9} {'concurrency':>11} {'requests/s':>12} "
+        f"{'concurrency':>11} {'requests/s':>12} "
         f"{'speedup':>9} {'occupancy':>10} {'latency(ms)':>12}",
     ]
     ladder_records = []
-    for lane_mode in LANE_MODES:
-        for concurrency in LADDER:
-            key = (lane_mode, concurrency)
-            rps = best[key]
-            snapshot = snapshots[key]
-            speedup = rps / baseline_rps
-            lines.append(
-                f"{lane_mode:>9} {concurrency:>11} {rps:>12,.0f} "
-                f"{speedup:>8.1f}x {snapshot['batch_occupancy_mean']:>10.1f} "
-                f"{snapshot['latency_mean_ms']:>12.2f}"
-            )
-            ladder_records.append(
-                {
-                    "lane_mode": lane_mode,
-                    "concurrency": concurrency,
-                    "requests_per_s": round(rps, 1),
-                    "speedup_vs_scalar": round(speedup, 2),
-                    "occupancy_mean": round(
-                        snapshot["batch_occupancy_mean"], 2
-                    ),
-                    "latency_mean_ms": round(snapshot["latency_mean_ms"], 3),
-                }
-            )
-    peak_key = max(best, key=best.get)
+    for concurrency in LADDER:
+        rps = best[concurrency]
+        snapshot = snapshots[concurrency]
+        speedup = rps / baseline_rps
+        lines.append(
+            f"{concurrency:>11} {rps:>12,.0f} "
+            f"{speedup:>8.1f}x {snapshot['batch_occupancy_mean']:>10.1f} "
+            f"{snapshot['latency_mean_ms']:>12.2f}"
+        )
+        ladder_records.append(
+            {
+                "concurrency": concurrency,
+                "requests_per_s": round(rps, 1),
+                "speedup_vs_scalar": round(speedup, 2),
+                "occupancy_mean": round(snapshot["batch_occupancy_mean"], 2),
+                "latency_mean_ms": round(snapshot["latency_mean_ms"], 3),
+            }
+        )
+    peak_concurrency = max(best, key=best.get)
+    peak_rps = best[peak_concurrency]
     lines.extend(
         [
             "",
-            f"peak: {best[peak_key]:,.0f} requests/s "
-            f"({peak_key[0]} lane, concurrency {peak_key[1]}) — "
-            f"{best[peak_key] / PRE_FIX_PEAK_RPS:.1f}x the pre-fix peak",
+            f"peak: {peak_rps:,.0f} requests/s "
+            f"(concurrency {peak_concurrency}) — "
+            f"{peak_rps / PRE_FIX_PEAK_RPS:.1f}x the pre-fix peak",
             "bitwise equality served == offline scalar: verified on all "
-            "8000 concurrency-32 responses, both lane modes",
+            "8000 concurrency-32 responses",
         ]
     )
     write_result("serving_throughput.txt", "\n".join(lines))
@@ -294,33 +268,29 @@ def test_serving_throughput_scaling(
             "scalar_baseline_rps": round(baseline_rps, 1),
             "pre_fix_peak_rps": PRE_FIX_PEAK_RPS,
             "ladder": ladder_records,
-            "peak_rps": round(best[peak_key], 1),
-            "peak_lane_mode": peak_key[0],
-            "peak_concurrency": peak_key[1],
+            "peak_rps": round(peak_rps, 1),
+            "peak_concurrency": peak_concurrency,
             "bitwise_identical": True,
         },
     )
 
     # -- acceptance ----------------------------------------------------------
-    for lane_mode in LANE_MODES:
-        floor = 0.0
-        for concurrency in LADDER:
-            rps = best[(lane_mode, concurrency)]
-            assert rps >= MONOTONE_TOLERANCE * floor, (
-                f"{lane_mode} lane regressed up the ladder: "
-                f"{rps:,.0f} requests/s at concurrency {concurrency} vs "
-                f"{floor:,.0f} below it (tolerance {MONOTONE_TOLERANCE})"
-            )
-            floor = max(floor, rps)
-
-    process_peak = max(best[("process", c)] for c in LADDER)
-    assert process_peak >= 2.0 * PRE_FIX_PEAK_RPS, (
-        f"process-lane peak {process_peak:,.0f} requests/s is below 2x the "
-        f"pre-fix peak ({2 * PRE_FIX_PEAK_RPS:,.0f} required)"
-    )
-    for lane_mode in LANE_MODES:
-        speedup = best[(lane_mode, 32)] / baseline_rps
-        assert speedup >= 5.0, (
-            f"{lane_mode} lane only {speedup:.1f}x the scalar baseline at "
-            f"concurrency 32 (required >= 5x)"
+    floor = 0.0
+    for concurrency in LADDER:
+        rps = best[concurrency]
+        assert rps >= MONOTONE_TOLERANCE * floor, (
+            f"ladder regressed: {rps:,.0f} requests/s at concurrency "
+            f"{concurrency} vs {floor:,.0f} below it "
+            f"(tolerance {MONOTONE_TOLERANCE})"
         )
+        floor = max(floor, rps)
+
+    assert peak_rps >= 2.0 * PRE_FIX_PEAK_RPS, (
+        f"peak {peak_rps:,.0f} requests/s is below 2x the pre-fix peak "
+        f"({2 * PRE_FIX_PEAK_RPS:,.0f} required)"
+    )
+    speedup = best[32] / baseline_rps
+    assert speedup >= 5.0, (
+        f"only {speedup:.1f}x the scalar baseline at concurrency 32 "
+        f"(required >= 5x)"
+    )

@@ -1,4 +1,4 @@
-"""Where serving wall time goes: decode, flush phases, lane handoff.
+"""Where serving wall time goes: decode and flush phases.
 
 This is the harness that found the concurrency-32 regression.  It runs
 the *same* workload as ``bench_serving.py`` (shared via
@@ -8,22 +8,16 @@ the serving stack instruments:
 * **flush build** — accumulating lowered kernels into the preallocated
   ``LoweredBatchBuilder`` arrays (the phase that used to be per-request
   dict churn);
-* **flush predict** — the batched matrix evaluation (in process mode
-  this includes the shared-memory round-trip to the worker);
+* **flush predict** — the batched matrix evaluation;
 * **flush resolve** — fanning results back out to request futures;
 * **handoff + queueing** — the residual: client submission, scheduler
   wakeups, GIL contention.  This is the slice that grew super-linearly
   with concurrency before the fix.
 
-Two microbenches isolate the remaining costs the aggregate cannot:
-
-* **frontend decode** — one JSON request line parsed and resolved to
-  kernels versus the same group decoded from a binary frame
-  (``_decode_binary_request``); the ratio is what motivates the
-  negotiated binary framing;
-* **lane handoff** — the same ``LoweredBatch`` evaluated directly
-  in-process versus through a ``ProcessWorkerLane`` round-trip; the
-  difference is the pure shared-memory handoff cost per flush.
+A microbench isolates the one cost the aggregate cannot: **frontend
+decode** — one JSON request line parsed and resolved to kernels versus
+the same group decoded from a binary frame (``_decode_binary_request``);
+the ratio is what motivates the negotiated binary framing.
 
 Results land in ``results/profile_serving.txt`` and
 ``results/BENCH_profile_serving.json``.  Attribution totals are asserted
@@ -44,9 +38,7 @@ import pytest
 from repro.artifacts import ArtifactRegistry
 from repro.measure.fingerprint import machine_fingerprint
 from repro.predictors import PalmedPredictor
-from repro.predictors.batch import LoweredBatch, LoweredBatchBuilder
 from repro.serving import PredictionService
-from repro.serving.cache import KernelLoweringCache
 from repro.serving.frontend import (
     _BINARY_REQUEST_MAGIC,
     _decode_binary_request,
@@ -69,8 +61,7 @@ from serving_workload import (
 REQUESTS = 12000
 #: The ladder slice around the historical regression point.
 CONCURRENCIES = (8, 32, 64)
-LANE_MODES = ("thread", "process")
-#: Iterations for the per-group decode and handoff microbenches.
+#: Iterations for the per-group decode microbench.
 MICRO_ITERATIONS = 400
 
 
@@ -91,11 +82,11 @@ def profile_registry(tmp_path_factory, profile_machine):
     return root
 
 
-def _attribution_run(registry, lane_mode, fingerprint, corpus, concurrency):
+def _attribution_run(registry, fingerprint, corpus, concurrency):
     """One warmed run; returns the phase split of its wall clock (ms)."""
     streams = build_streams(corpus, concurrency, REQUESTS)
     with PredictionService(
-        registry, max_batch_size=1024, max_pending=None, lane_mode=lane_mode
+        registry, max_batch_size=1024, max_pending=None
     ) as service:
         service.predict_many(fingerprint, corpus)  # warm lowerings + lane
         warm = service.snapshot()
@@ -117,7 +108,6 @@ def _attribution_run(registry, lane_mode, fingerprint, corpus, concurrency):
     wall = elapsed * 1e3
     residual = wall - build - predict - resolve
     return {
-        "lane_mode": lane_mode,
         "concurrency": concurrency,
         "wall_ms": round(wall, 1),
         "flush_build_ms": round(build, 1),
@@ -209,91 +199,29 @@ def _decode_microbench(registry, fingerprint, corpus):
     }
 
 
-def _handoff_microbench(registry, fingerprint, corpus):
-    """Direct in-process predict vs a ProcessWorkerLane round-trip."""
-    lowerings = KernelLoweringCache().get_many(corpus)
-    builder = LoweredBatchBuilder()
-    batches = []
-    for start in range(0, 1024, 256):  # four 256-kernel flush-sized batches
-        for lowering in lowerings[start : start + 256]:
-            builder.append(lowering)
-        taken = builder.take()  # views into the builder: copy to keep
-        batches.append(
-            LoweredBatch(
-                taken.instruction_ids.copy(),
-                taken.counts.copy(),
-                taken.lengths.copy(),
-                taken.sizes.copy(),
-            )
-        )
-
-    with PredictionService(registry, lane_mode="process") as service:
-        service.predict_many(fingerprint, corpus[:64])  # spawn the lane
-        lane = service.router._process_lanes[fingerprint]
-        matrix = service.compiled(fingerprint).matrix
-
-        calls = 0
-        start = time.perf_counter()
-        for _ in range(MICRO_ITERATIONS // len(batches)):
-            for batch in batches:
-                matrix.predict_lowered_arrays(batch)
-                calls += 1
-        direct_s = time.perf_counter() - start
-
-        start = time.perf_counter()
-        for _ in range(MICRO_ITERATIONS // len(batches)):
-            for batch in batches:
-                lane.call(
-                    batch.instruction_ids,
-                    batch.counts,
-                    batch.lengths,
-                    batch.sizes,
-                )
-        lane_s = time.perf_counter() - start
-
-    direct_us = 1e6 * direct_s / calls
-    lane_us = 1e6 * lane_s / calls
-    return {
-        "calls": calls,
-        "kernels_per_call": 256,
-        "direct_us_per_call": round(direct_us, 1),
-        "lane_us_per_call": round(lane_us, 1),
-        "handoff_us_per_call": round(lane_us - direct_us, 1),
-    }
-
-
 def test_profile_serving(profile_registry, profile_machine, profile_corpus):
-    """The full profile: phase attribution plus the two microbenches."""
+    """The full profile: phase attribution plus the decode microbench."""
     fingerprint = machine_fingerprint(profile_machine)
 
-    rows = []
-    for lane_mode in LANE_MODES:
-        for concurrency in CONCURRENCIES:
-            rows.append(
-                _attribution_run(
-                    profile_registry,
-                    lane_mode,
-                    fingerprint,
-                    profile_corpus,
-                    concurrency,
-                )
-            )
+    rows = [
+        _attribution_run(
+            profile_registry, fingerprint, profile_corpus, concurrency
+        )
+        for concurrency in CONCURRENCIES
+    ]
     decode = _decode_microbench(profile_registry, fingerprint, profile_corpus)
-    handoff = _handoff_microbench(
-        profile_registry, fingerprint, profile_corpus
-    )
 
     lines = [
         "=== Serving wall-time attribution (shared ladder workload) ===",
         f"{REQUESTS} requests per run; phases from the per-flush "
         "instrumentation, residual = handoff + queueing",
         "",
-        f"{'lane mode':>9} {'conc':>5} {'wall(ms)':>9} {'build':>7} "
+        f"{'conc':>5} {'wall(ms)':>9} {'build':>7} "
         f"{'predict':>8} {'resolve':>8} {'handoff+q':>10} {'req/s':>9}",
     ]
     for row in rows:
         lines.append(
-            f"{row['lane_mode']:>9} {row['concurrency']:>5} "
+            f"{row['concurrency']:>5} "
             f"{row['wall_ms']:>9,.0f} {row['flush_build_ms']:>7,.0f} "
             f"{row['flush_predict_ms']:>8,.0f} "
             f"{row['flush_resolve_ms']:>8,.0f} "
@@ -308,11 +236,6 @@ def test_profile_serving(profile_registry, profile_machine, profile_corpus):
             f"json line:    {decode['json_us_per_group']:>8.1f} us/group",
             f"binary frame: {decode['binary_us_per_group']:>8.1f} us/group "
             f"({decode['json_over_binary']:.1f}x cheaper)",
-            "",
-            "--- process-lane handoff (256-kernel flush) ---",
-            f"direct predict:   {handoff['direct_us_per_call']:>8.0f} us/call",
-            f"lane round-trip:  {handoff['lane_us_per_call']:>8.0f} us/call",
-            f"handoff overhead: {handoff['handoff_us_per_call']:>8.0f} us/call",
         ]
     )
     write_result("profile_serving.txt", "\n".join(lines))
@@ -323,7 +246,6 @@ def test_profile_serving(profile_registry, profile_machine, profile_corpus):
             "requests_per_run": REQUESTS,
             "attribution": rows,
             "frontend_decode": decode,
-            "lane_handoff": handoff,
         },
     )
 
@@ -342,4 +264,3 @@ def test_profile_serving(profile_registry, profile_machine, profile_corpus):
     # re-parses names and dicts per block.  If this inverts, the format
     # negotiation lost its reason to exist.
     assert decode["json_over_binary"] > 1.0, decode
-    assert handoff["handoff_us_per_call"] > 0.0, handoff

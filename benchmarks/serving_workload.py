@@ -89,8 +89,8 @@ def build_streams(corpus, concurrency: int, total_requests: int, seed: int = 700
     """Per-client request streams: lists of kernel groups, precomputed.
 
     Deterministic in (corpus, concurrency, total_requests, seed) and
-    independent of timing, so every trial and every lane mode replays the
-    exact same per-client sequence of groups.
+    independent of timing, so every trial replays the exact same
+    per-client sequence of groups.
     """
     per_client = total_requests // concurrency
     streams = []

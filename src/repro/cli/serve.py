@@ -16,9 +16,7 @@ JSON-only.
 The node opens the registry read-only, serves every machine it holds
 (routed per request by name or fingerprint), micro-batches concurrent
 requests per machine, and prints the serving statistics table on
-shutdown.  ``--lane-mode process`` moves batch evaluation into
-per-machine shared-memory worker processes (GIL-free) with
-bitwise-identical results.
+shutdown.
 
 Cluster modes (:mod:`repro.cluster`):
 
@@ -67,7 +65,6 @@ def _run_standalone(args: argparse.Namespace) -> int:
         max_wait_s=args.max_wait_ms / 1e3,
         max_pending=args.max_pending if args.max_pending > 0 else None,
         mapping_cache_capacity=args.mapping_cache,
-        lane_mode=args.lane_mode,
     )
     known = service.registry.entries()
     if not known:
@@ -127,7 +124,6 @@ def _run_node(args: argparse.Namespace) -> int:
         max_wait_s=args.max_wait_ms / 1e3,
         max_pending=args.max_pending if args.max_pending > 0 else None,
         mapping_cache_capacity=args.mapping_cache,
-        lane_mode=args.lane_mode,
     )
     node.start()
     try:
@@ -272,15 +268,6 @@ def register(subparsers) -> None:
         "this sqlite warehouse for the server's lifetime (query with "
         "'python -m repro stats --db DB serving'); predictions are "
         "bitwise-identical with or without it",
-    )
-    serve.add_argument(
-        "--lane-mode",
-        choices=("thread", "process"),
-        default="thread",
-        help="batch evaluation mode: 'thread' runs on the lane scheduler "
-        "thread; 'process' ships batches to a per-machine shared-memory "
-        "worker process (GIL-free, bitwise-identical results; degrades "
-        "to 'thread' with a warning if the host cannot spawn workers)",
     )
     role = serve.add_mutually_exclusive_group()
     role.add_argument(

@@ -9,7 +9,7 @@ stack:
    directory (hash-validated, stamp-skipped);
 2. a :class:`~repro.serving.service.PredictionService` opens the replica
    **read-only** (a node never mutates what it serves) with whatever
-   lane mode and admission bound the operator chose;
+   batching and admission bounds the operator chose;
 3. a :class:`~repro.serving.frontend.LineProtocolServer` exposes it on
    TCP — the same protocol, ops and binary negotiation as a standalone
    server, so a node is indistinguishable from ``python -m repro serve``
@@ -68,7 +68,7 @@ class ClusterNode:
         happen via :meth:`sync`, e.g. driven by the ``republish`` op).
     service_options:
         Keyword arguments forwarded to :class:`PredictionService`
-        (``lane_mode``, ``max_pending``, ``max_batch_size``, ...).
+        (``max_pending``, ``max_batch_size``, ...).
     """
 
     def __init__(

@@ -63,12 +63,13 @@ incremental lowering pipeline:
   rescans or list churn;
 * :meth:`MappingMatrix.predict_lowered` evaluates such a batch through the
   very same masked-COO core as :meth:`MappingMatrix.predict_batch`, so the
-  bitwise contract carries over unchanged.  Lanes that must hand results
-  across a process boundary use :meth:`MappingMatrix.predict_lowered_arrays`
-  instead, which returns the same numbers as two flat float arrays
-  (NaN encoding an unpredictable kernel); :func:`predictions_from_arrays`
-  converts them back to :class:`~repro.predictors.base.Prediction` objects
-  without changing a bit.
+  bitwise contract carries over unchanged.  Serving lanes time the
+  evaluation apart from result wrapping through
+  :meth:`MappingMatrix.predict_lowered_arrays`, which returns the same
+  numbers as two flat float arrays (NaN encoding an unpredictable
+  kernel); :func:`predictions_from_arrays` converts them back to
+  :class:`~repro.predictors.base.Prediction` objects without changing a
+  bit.
 """
 
 from __future__ import annotations
@@ -491,22 +492,16 @@ class MappingMatrix:
         return predictions_from_arrays(*self.predict_lowered_arrays(batch))
 
     def predict_lowered_arrays(
-        self, batch: LoweredBatch, lut: Optional[np.ndarray] = None
+        self, batch: LoweredBatch
     ) -> Tuple[np.ndarray, np.ndarray]:
         """The array form of :meth:`predict_lowered`: ``(ipcs, fractions)``.
 
         Returns two float64 arrays of length ``batch.num_kernels`` carrying
         exactly the numbers :meth:`predict_lowered` would wrap into
         :class:`~repro.predictors.base.Prediction` objects, with ``NaN``
-        standing in for an unpredictable kernel (``ipc=None``).  This is
-        the shape a process lane ships over its shared-memory response
-        slab; :func:`predictions_from_arrays` restores the objects on the
-        other side without touching a bit.
-
-        ``lut`` overrides the cached interned-id table — a worker process
-        evaluates against the *parent's* intern order by passing the
-        snapshot it was handed at spawn, since its own intern table grows
-        in request-arrival order and need not match.
+        standing in for an unpredictable kernel (``ipc=None``);
+        :func:`predictions_from_arrays` restores the objects without
+        touching a bit.
         """
         num_kernels = batch.num_kernels
         if num_kernels == 0:
@@ -514,10 +509,9 @@ class MappingMatrix:
             return empty, empty.copy()
 
         if batch.instruction_ids.size and len(self._index):
+            lut = self._interned_lut
             if lut is None:
-                lut = self._interned_lut
-                if lut is None:
-                    lut = self._build_interned_lut()
+                lut = self._build_interned_lut()
             ids = batch.instruction_ids
             if int(ids.max()) >= lut.size:
                 # Ids interned after the table was built.  The build
@@ -547,18 +541,6 @@ class MappingMatrix:
         return self._masked_arrays(
             kernel_ids, blocks, multiplicities, num_kernels, batch.sizes
         )
-
-    def interned_lut_snapshot(self) -> np.ndarray:
-        """A copy of the interned-id -> block table (built if needed).
-
-        The snapshot a parent hands to a process lane at spawn: block
-        indices are positional in ``mapping.instructions`` order, so a
-        worker that compiled the same artifact evaluates identically.
-        """
-        lut = self._interned_lut
-        if lut is None:
-            lut = self._build_interned_lut()
-        return lut.copy()
 
     def _build_interned_lut(self) -> np.ndarray:
         """Build the interned-id -> block table, once per matrix.

@@ -1,6 +1,6 @@
 """Shared parallel execution substrate.
 
-Two primitives, two workload shapes:
+Three primitives, three workload shapes:
 
 * :class:`ParallelRuntime` — the *offline* substrate: fans a finite batch
   of work over a short-lived process pool with deterministic input-order
@@ -11,12 +11,7 @@ Two primitives, two workload shapes:
 * :class:`WorkerLane` — the *online* substrate: a managed daemon thread
   for unbounded request streams that must share in-process state.  The
   serving layer (:mod:`repro.serving`) runs its micro-batching schedulers
-  on worker lanes.
-* :class:`ProcessWorkerLane` — the online substrate's GIL-free variant: a
-  dedicated worker process exchanging flat numpy slabs with the parent
-  through POSIX shared memory.  Serving lanes use it in
-  ``--lane-mode process`` to move batch evaluation (and its Python-side
-  result framing) off the request threads entirely.
+  on worker lanes and evaluates every flush on the lane's own thread.
 * :class:`LanePool` — the *batch-solving* substrate: long-lived worker
   processes with lane-pinned chunk assignment and persistent lane-local
   state (:func:`lane_state`), plus an exact in-process emulation
@@ -30,15 +25,13 @@ from repro.runtime.lane_pool import (
     lane_state,
     run_chunks_in_process,
 )
-from repro.runtime.lanes import ProcessLaneError, ProcessWorkerLane, WorkerLane
+from repro.runtime.lanes import WorkerLane
 from repro.runtime.pool import ParallelRuntime
 
 __all__ = [
     "LanePool",
     "LanePoolError",
     "ParallelRuntime",
-    "ProcessLaneError",
-    "ProcessWorkerLane",
     "WorkerLane",
     "lane_state",
     "run_chunks_in_process",

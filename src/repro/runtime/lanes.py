@@ -1,41 +1,27 @@
-"""Worker lanes: managed execution substrates for online request processing.
+"""Worker lanes: the managed execution substrate for online request processing.
 
 :class:`ParallelRuntime` (the sibling module) is the *offline* substrate:
 it fans a finite batch of work over a short-lived process pool and
 reassembles the results.  Online serving has the opposite shape — an
 unbounded stream of small requests that must share in-process state (the
 compiled mapping matrices, the numpy arrays a batch evaluation gathers
-from) — so its default substrate is a **thread**: numpy releases the GIL
-inside the large batched operations, and everything else needs shared
-memory.
+from) — so its substrate is a **thread**: numpy releases the GIL inside
+the large batched operations, and everything else needs that shared
+state.
 
 :class:`WorkerLane` is the managed-thread primitive the serving layer
 builds on: a daemon thread running a caller-supplied loop body until
 stopped, with idempotent start/stop and a join that cannot hang the
 interpreter.  The micro-batching scheduler (:class:`repro.serving.batcher.
-MicroBatcher`) runs one lane per machine fingerprint.
-
-:class:`ProcessWorkerLane` is the GIL-free escape hatch for the *Python*
-half of a flush (building result objects, framing responses): a dedicated
-worker **process** that exchanges flat numpy arrays with the parent
-through one :class:`multiprocessing.shared_memory.SharedMemory` segment —
-request slabs in, response slabs out, two events as doorbells.  No
-pickling, no pipes on the hot path: a call is four slice assignments, an
-event set, and a wait.  The request layout (``ids``/``counts``/``lengths``
-/``sizes``) is exactly the flat COO form of
-:class:`repro.predictors.batch.LoweredBatch`, so a serving lane hands its
-accumulated batch over without reshaping.
+MicroBatcher`) runs one lane per machine fingerprint, and every flush
+is evaluated on that lane's thread.
 """
 
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import threading
-from multiprocessing import shared_memory
-from typing import Callable, Optional, Tuple
-
-import numpy as np
+from typing import Callable, Optional
 
 #: Process-wide counter giving every lane a distinguishable default name.
 _LANE_IDS = itertools.count()
@@ -108,439 +94,3 @@ class WorkerLane:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "running" if self.running else "stopped"
         return f"WorkerLane({self.name!r}, {state})"
-
-
-# -- shared-memory process lanes ---------------------------------------------
-
-class ProcessLaneError(RuntimeError):
-    """A process lane failed: worker setup, a call, or the process died."""
-
-
-#: Process-global guard serializing the fork + shared-segment creation
-#: window of every lane (see :meth:`ProcessWorkerLane.start`).
-_SPAWN_LOCK = threading.Lock()
-
-
-#: Header slots (int64) of the shared segment.
-_H_COMMAND = 0  # parent -> child: 1 = request, 2 = shutdown
-_H_STATUS = 1  # child -> parent: 0 = ok, 1 = error
-_H_ENTRIES = 2  # request: total COO entries in the ids/counts slabs
-_H_GROUPS = 3  # request: kernels in the lengths/sizes slabs
-_H_ERROR_LEN = 4  # response: utf-8 byte length of the error message
-_HEADER_SLOTS = 8
-_ERROR_CAPACITY = 4096
-
-
-def _slab_layout(
-    entry_capacity: int, group_capacity: int, response_slots: int
-) -> Tuple[Tuple[str, int, np.dtype], ...]:
-    """(name, count, dtype) of every slab, in segment order."""
-    return (
-        ("header", _HEADER_SLOTS, np.dtype(np.int64)),
-        ("ids", entry_capacity, np.dtype(np.int64)),
-        ("counts", entry_capacity, np.dtype(np.float64)),
-        ("lengths", group_capacity, np.dtype(np.int64)),
-        ("sizes", group_capacity, np.dtype(np.float64)),
-        ("responses", response_slots * group_capacity, np.dtype(np.float64)),
-        ("error", _ERROR_CAPACITY, np.dtype(np.uint8)),
-    )
-
-
-def _map_slabs(buffer, layout) -> dict:
-    """Numpy views over the shared segment, one per slab."""
-    slabs = {}
-    offset = 0
-    for name, count, dtype in layout:
-        nbytes = count * dtype.itemsize
-        slabs[name] = np.frombuffer(buffer, dtype=dtype, count=count, offset=offset)
-        offset += nbytes
-    return slabs
-
-
-def _write_error(slabs, message: str) -> None:
-    encoded = message.encode("utf-8", errors="replace")[:_ERROR_CAPACITY]
-    slabs["error"][: len(encoded)] = np.frombuffer(encoded, dtype=np.uint8)
-    slabs["header"][_H_ERROR_LEN] = len(encoded)
-    slabs["header"][_H_STATUS] = 1
-
-
-def _read_error(slabs) -> str:
-    length = int(slabs["header"][_H_ERROR_LEN])
-    return bytes(slabs["error"][:length]).decode("utf-8", errors="replace")
-
-
-def _process_lane_main(
-    worker_factory,
-    context,
-    shm_name: str,
-    layout,
-    group_capacity: int,
-    response_slots: int,
-    request_ready,
-    response_ready,
-    shares_tracker: bool,
-) -> None:
-    """Worker-process entry point (module-level so spawn can import it).
-
-    Attaches to the parent's segment, builds the handler, then serves
-    request events until the shutdown command.  Any exception — during
-    setup or a call — is reported through the error slab; a call error
-    leaves the loop running, so one bad batch does not kill the lane.
-    """
-    shm = shared_memory.SharedMemory(name=shm_name)
-    if not shares_tracker:
-        # A spawn child runs its own resource tracker, which would try to
-        # unlink the parent-owned segment at exit; drop the attachment's
-        # registration.  A fork child *shares* the parent's tracker, where
-        # unregistering here would cancel the parent's own registration.
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(shm._name, "shared_memory")  # noqa: SLF001
-        except Exception:  # pragma: no cover - tracker internals vary
-            pass
-    try:
-        _process_lane_serve(
-            shm.buf,
-            worker_factory,
-            context,
-            layout,
-            group_capacity,
-            response_slots,
-            request_ready,
-            response_ready,
-        )
-    finally:
-        # All slab views died with _process_lane_serve's frame, so the
-        # mmap has no exported pointers left and closes cleanly.
-        shm.close()
-
-
-def _process_lane_serve(
-    buffer,
-    worker_factory,
-    context,
-    layout,
-    group_capacity: int,
-    response_slots: int,
-    request_ready,
-    response_ready,
-) -> None:
-    """The worker's serve loop (isolated so its views die on return)."""
-    slabs = _map_slabs(buffer, layout)
-    header = slabs["header"]
-    try:
-        handler = worker_factory(context)
-        header[_H_STATUS] = 0
-    except BaseException as error:  # noqa: BLE001 - reported to the parent
-        _write_error(slabs, f"{type(error).__name__}: {error}")
-        response_ready.set()
-        return
-    response_ready.set()  # ready handshake
-    while True:
-        request_ready.wait()
-        request_ready.clear()
-        if int(header[_H_COMMAND]) == 2:
-            return
-        entries = int(header[_H_ENTRIES])
-        groups = int(header[_H_GROUPS])
-        try:
-            outputs = handler(
-                slabs["ids"][:entries].astype(np.intp, copy=False),
-                slabs["counts"][:entries],
-                slabs["lengths"][:groups].astype(np.intp, copy=False),
-                slabs["sizes"][:groups],
-            )
-            if len(outputs) != response_slots:
-                raise ProcessLaneError(
-                    f"worker returned {len(outputs)} response arrays, "
-                    f"expected {response_slots}"
-                )
-            responses = slabs["responses"]
-            for slot, values in enumerate(outputs):
-                start = slot * group_capacity
-                responses[start : start + groups] = values
-            header[_H_STATUS] = 0
-        except BaseException as error:  # noqa: BLE001 - reported to the parent
-            _write_error(slabs, f"{type(error).__name__}: {error}")
-        response_ready.set()
-
-
-class ProcessWorkerLane:
-    """A GIL-free worker process fed through shared-memory array slabs.
-
-    Parameters
-    ----------
-    worker_factory:
-        Module-level callable run *in the child* as
-        ``handler = worker_factory(context)``; the handler is then called
-        per request as ``handler(ids, counts, lengths, sizes)`` (flat COO
-        arrays, see :class:`repro.predictors.batch.LoweredBatch`) and must
-        return ``response_slots`` float arrays of one value per group.
-        Must be picklable by reference for spawn-based platforms.
-    context:
-        Picklable setup payload handed to the factory (e.g. a registry
-        path plus a fingerprint — never a live object graph).
-    entry_capacity / group_capacity:
-        Slab sizes.  A call larger than either is transparently split at
-        group boundaries into several round-trips.
-    response_slots:
-        How many response arrays the handler returns (default 2:
-        the serving lane ships ``(ipcs, fractions)``).
-    start_timeout_s / call_timeout_s:
-        Bounds on the ready handshake and on one round-trip; either
-        expiring raises :class:`ProcessLaneError` rather than hanging the
-        scheduler.
-
-    Notes
-    -----
-    One in-flight call at a time (a lock serializes callers); the serving
-    scheduler is single-threaded per lane, so this costs nothing there.
-    ``start``/``stop`` are idempotent.  The parent owns the segment and
-    unlinks it on ``stop``; the child unregisters its attachment from the
-    resource tracker so neither side double-frees.  A handler exception
-    fails only that call — the lane keeps serving — while a dead worker
-    process fails fast with :class:`ProcessLaneError`.
-    """
-
-    def __init__(
-        self,
-        worker_factory: Callable,
-        context,
-        entry_capacity: int = 1 << 17,
-        group_capacity: int = 1 << 13,
-        response_slots: int = 2,
-        start_timeout_s: float = 120.0,
-        call_timeout_s: float = 60.0,
-        name: Optional[str] = None,
-    ) -> None:
-        if entry_capacity < 1 or group_capacity < 1 or response_slots < 1:
-            raise ValueError("slab capacities and response_slots must be positive")
-        self._worker_factory = worker_factory
-        self._context = context
-        self.entry_capacity = int(entry_capacity)
-        self.group_capacity = int(group_capacity)
-        self.response_slots = int(response_slots)
-        self.start_timeout_s = start_timeout_s
-        self.call_timeout_s = call_timeout_s
-        self.name = name or f"process-lane-{next(_LANE_IDS)}"
-        self._layout = _slab_layout(
-            self.entry_capacity, self.group_capacity, self.response_slots
-        )
-        self._lock = threading.Lock()
-        self._shm: Optional[shared_memory.SharedMemory] = None
-        self._slabs: Optional[dict] = None
-        self._process: Optional[multiprocessing.process.BaseProcess] = None
-        self._request_ready = None
-        self._response_ready = None
-
-    # -- lifecycle -----------------------------------------------------------
-    @property
-    def running(self) -> bool:
-        process = self._process
-        return process is not None and process.is_alive()
-
-    def start(self) -> "ProcessWorkerLane":
-        """Spawn the worker and wait for its ready handshake (idempotent).
-
-        Raises :class:`ProcessLaneError` when the worker's setup fails or
-        the handshake times out; the OS-level errors of process creation
-        (fork failure, shared-memory exhaustion) propagate as-is so the
-        caller can decide to degrade to a thread lane.
-        """
-        with self._lock:
-            if self.running:
-                return self
-            self._cleanup_locked()
-            # Segment + fork under the process-global spawn lock: a child
-            # forked while *another* thread is mid-way through its own
-            # SharedMemory/Process creation inherits the multiprocessing
-            # resource-tracker lock in a held state and deadlocks on its
-            # first attach.  Serializing the creation window (the
-            # handshake wait below stays outside) makes concurrent lane
-            # bring-up safe.
-            with _SPAWN_LOCK:
-                try:
-                    context = multiprocessing.get_context("fork")
-                    shares_tracker = True
-                except ValueError:  # pragma: no cover - non-POSIX platforms
-                    context = multiprocessing.get_context("spawn")
-                    shares_tracker = False
-                nbytes = sum(
-                    count * dtype.itemsize for _, count, dtype in self._layout
-                )
-                self._shm = shared_memory.SharedMemory(create=True, size=nbytes)
-                self._slabs = _map_slabs(self._shm.buf, self._layout)
-                self._slabs["header"][:] = 0
-                self._request_ready = context.Event()
-                self._response_ready = context.Event()
-                self._process = context.Process(
-                    target=_process_lane_main,
-                    args=(
-                        self._worker_factory,
-                        self._context,
-                        self._shm.name,
-                        self._layout,
-                        self.group_capacity,
-                        self.response_slots,
-                        self._request_ready,
-                        self._response_ready,
-                        shares_tracker,
-                    ),
-                    name=self.name,
-                    daemon=True,
-                )
-                try:
-                    self._process.start()
-                except Exception:
-                    self._cleanup_locked()
-                    raise
-            try:
-                self._await_response_locked(self.start_timeout_s, "worker setup")
-            except Exception:
-                self._cleanup_locked()
-                raise
-            self._response_ready.clear()
-            return self
-
-    def stop(self, timeout: float = 5.0) -> None:
-        """Shut the worker down and release the shared segment (idempotent)."""
-        with self._lock:
-            process = self._process
-            if process is not None:
-                if process.is_alive():
-                    if self._slabs is not None:
-                        self._slabs["header"][_H_COMMAND] = 2
-                    self._request_ready.set()
-                    process.join(timeout)
-                    if process.is_alive():  # pragma: no cover - stuck worker
-                        process.terminate()
-                        process.join(timeout)
-            self._cleanup_locked()
-
-    def _cleanup_locked(self) -> None:
-        self._process = None
-        self._slabs = None
-        shm = self._shm
-        self._shm = None
-        if shm is not None:
-            try:
-                shm.unlink()
-            except OSError:  # pragma: no cover - already unlinked
-                pass
-            try:
-                shm.close()
-            except (OSError, BufferError):  # pragma: no cover
-                # A traceback somewhere may still pin a slab view; the
-                # name is already unlinked, the mapping dies with us.
-                pass
-
-    # -- calls ---------------------------------------------------------------
-    def call(
-        self,
-        instruction_ids: np.ndarray,
-        counts: np.ndarray,
-        lengths: np.ndarray,
-        sizes: np.ndarray,
-    ) -> Tuple[np.ndarray, ...]:
-        """One round-trip: ship a flat COO batch, return the response arrays.
-
-        Returns ``response_slots`` float64 arrays of ``len(sizes)`` values
-        each (copies — the slab is reused by the next call).  Batches
-        exceeding the slab capacities are split at group boundaries and
-        served in several round-trips, invisible to the caller.
-
-        Raises
-        ------
-        ProcessLaneError
-            The lane is not running, the worker reported an error, died
-            mid-call, or the call timed out.
-        """
-        groups = int(sizes.size)
-        outputs = [
-            np.empty(groups, dtype=np.float64) for _ in range(self.response_slots)
-        ]
-        with self._lock:
-            if not self.running or self._slabs is None:
-                raise ProcessLaneError(f"process lane {self.name!r} is not running")
-            slabs = self._slabs
-            try:
-                for g0, g1, e0, e1 in self._chunks(lengths):
-                    slabs["ids"][: e1 - e0] = instruction_ids[e0:e1]
-                    slabs["counts"][: e1 - e0] = counts[e0:e1]
-                    slabs["lengths"][: g1 - g0] = lengths[g0:g1]
-                    slabs["sizes"][: g1 - g0] = sizes[g0:g1]
-                    header = slabs["header"]
-                    header[_H_ENTRIES] = e1 - e0
-                    header[_H_GROUPS] = g1 - g0
-                    header[_H_COMMAND] = 1
-                    self._response_ready.clear()
-                    self._request_ready.set()
-                    self._await_response_locked(self.call_timeout_s, "call")
-                    responses = slabs["responses"]
-                    for slot, out in enumerate(outputs):
-                        start = slot * self.group_capacity
-                        out[g0:g1] = responses[start : start + (g1 - g0)]
-            except BaseException:
-                # Don't pin slab views in the traceback frame: a consumer
-                # may hold the exception long after the lane unlinks.
-                slabs = header = responses = None  # noqa: F841
-                raise
-        return tuple(outputs)
-
-    def _chunks(self, lengths: np.ndarray):
-        """Split a batch at group boundaries to fit the slab capacities."""
-        groups = int(lengths.size)
-        if groups == 0:
-            return
-        g0 = e0 = 0
-        entries_in = 0
-        group_in = 0
-        entry_offsets = np.concatenate(
-            ([0], np.cumsum(lengths, dtype=np.int64))
-        )
-        for g in range(groups):
-            length = int(lengths[g])
-            if length > self.entry_capacity:
-                raise ProcessLaneError(
-                    f"one group carries {length} entries, beyond the lane's "
-                    f"entry capacity {self.entry_capacity}"
-                )
-            if (
-                group_in + 1 > self.group_capacity
-                or entries_in + length > self.entry_capacity
-            ):
-                yield g0, g, e0, int(entry_offsets[g])
-                g0, e0 = g, int(entry_offsets[g])
-                group_in = entries_in = 0
-            group_in += 1
-            entries_in += length
-        yield g0, groups, e0, int(entry_offsets[groups])
-
-    def _await_response_locked(self, timeout: float, what: str) -> None:
-        """Wait on the response doorbell, failing fast on a dead worker."""
-        import time as _time
-
-        deadline = _time.monotonic() + timeout
-        while not self._response_ready.wait(0.5):
-            if not self._process.is_alive():
-                raise ProcessLaneError(
-                    f"process lane {self.name!r} worker died during {what} "
-                    f"(exit code {self._process.exitcode})"
-                )
-            if _time.monotonic() > deadline:
-                raise ProcessLaneError(
-                    f"process lane {self.name!r} timed out after {timeout:.0f}s "
-                    f"during {what}"
-                )
-        self._response_ready.clear()
-        if int(self._slabs["header"][_H_STATUS]) != 0:
-            message = _read_error(self._slabs)
-            self._slabs["header"][_H_STATUS] = 0
-            raise ProcessLaneError(
-                f"process lane {self.name!r} {what} failed: {message}"
-            )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "running" if self.running else "stopped"
-        return f"ProcessWorkerLane({self.name!r}, {state})"

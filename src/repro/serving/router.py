@@ -15,20 +15,8 @@ the lane of its machine:
   the cache capacity rather than the fleet size;
 * requests for different machines batch independently (they could not
   share a matrix evaluation anyway), while requests for the same machine
-  coalesce across all clients.
-
-Lane modes
-----------
-``lane_mode="thread"`` (the default) evaluates batches on the lane's
-scheduler thread.  ``lane_mode="process"`` ships each accumulated batch to
-a per-fingerprint :class:`~repro.runtime.ProcessWorkerLane` — a dedicated
-worker process fed through shared-memory numpy slabs — so the evaluation
-and its Python-side framing run outside the GIL entirely; the worker
-compiles its own matrix from the same registry artifact and evaluates
-against the parent's interned-id snapshot, keeping results bitwise-equal
-to the thread mode.  A host that cannot spawn the worker (no fork, shared
-memory exhausted) degrades to thread evaluation with a warning rather
-than failing the lane.
+  coalesce across all clients;
+* every flush is evaluated on its lane's own scheduler thread.
 
 Human-friendly addressing: :meth:`MachineRouter.resolve` maps a machine
 *name* to the fingerprint of its stored artifact, refusing unknown and
@@ -39,46 +27,20 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from typing import Dict, List, Optional
-
-import numpy as np
 
 from repro.artifacts import ArtifactRegistry
 from repro.predictors.batch import (
     LoweredBatch,
     LoweredBatchBuilder,
-    MappingMatrix,
     predictions_from_arrays,
 )
 from repro.predictors.base import Prediction
-from repro.runtime import ProcessLaneError, ProcessWorkerLane
 from repro.serving.batcher import MicroBatcher
 from repro.serving.cache import CompiledMapping, HotMappingCache
 from repro.serving.errors import ServiceClosedError, UnknownMachineError
 from repro.serving.stats import ServingStats
 from repro.telemetry import TRACER
-
-
-def _process_lane_worker(context):
-    """Worker factory run inside a lane's process (module-level for spawn).
-
-    Builds the machine's :class:`MappingMatrix` from the registry artifact
-    — both sides load the same JSON, so block indices match positionally —
-    and evaluates every request against the parent's interned-id lookup
-    snapshot.  The returned handler maps the flat COO slabs straight to
-    ``(ipcs, fractions)`` response arrays.
-    """
-    registry_root, fingerprint, lut = context
-    registry = ArtifactRegistry(registry_root, readonly=True)
-    matrix = MappingMatrix(registry.load(fingerprint).mapping)
-    lut = np.asarray(lut, dtype=np.intp)
-
-    def handler(instruction_ids, counts, lengths, sizes):
-        batch = LoweredBatch(instruction_ids, counts, lengths, sizes)
-        return matrix.predict_lowered_arrays(batch, lut=lut)
-
-    return handler
 
 
 class MachineRouter:
@@ -92,32 +54,14 @@ class MachineRouter:
         max_batch_size: int = 512,
         max_wait_s: float = 0.0,
         max_pending: Optional[int] = 4096,
-        lane_mode: str = "thread",
     ) -> None:
-        if lane_mode not in ("thread", "process"):
-            raise ValueError(
-                f"lane_mode must be 'thread' or 'process', got {lane_mode!r}"
-            )
         self.stats = stats or ServingStats()
         self.cache = HotMappingCache(registry, cache_capacity, self.stats)
         self.max_batch_size = max_batch_size
         self.max_wait_s = max_wait_s
         self.max_pending = max_pending
-        self.lane_mode = lane_mode
         self._lock = threading.Lock()
-        # Serializes worker-process creation: concurrent first requests for
-        # the same fingerprint would otherwise each spawn a worker and all
-        # but one be discarded.
-        self._process_spawn_lock = threading.Lock()
         self._lanes: Dict[str, MicroBatcher] = {}
-        self._process_lanes: Dict[str, ProcessWorkerLane] = {}
-        # Fingerprints whose worker could not come up: evaluation stays
-        # degraded to the thread path without re-warning every flush.
-        self._process_degraded: set = set()
-        # Per-fingerprint swap locks: a republish must not stop a worker
-        # process while a flush is mid-call on it (zero-downtime contract);
-        # the flush holds its fingerprint's lock across resolve + call.
-        self._swap_locks: Dict[str, threading.Lock] = {}
         self._name_index: Dict[str, List[str]] = {}
         self._name_index_stamp: Optional[float] = None
         self._started = False
@@ -139,13 +83,6 @@ class MachineRouter:
             lanes = list(self._lanes.values())
         for lane in lanes:
             lane.close(drain=drain)
-        # Stop worker processes only after the batchers drained: a pending
-        # flush may still need one last shared-memory round-trip.
-        with self._lock:
-            process_lanes = list(self._process_lanes.values())
-            self._process_lanes.clear()
-        for process_lane in process_lanes:
-            process_lane.stop()
 
     # -- routing -------------------------------------------------------------
     def lane_for(self, fingerprint: str) -> MicroBatcher:
@@ -166,12 +103,9 @@ class MachineRouter:
             lane = self._lanes.get(fingerprint)
             if lane is not None:
                 return lane
-        # Validate the artifact and build the processor outside the
-        # lane-table lock: both may read from disk, and a process-mode
-        # processor spawns its worker (which re-enters the lock to
-        # register itself).  A lost creation race just discards the spare.
+        # Validate the artifact outside the lane-table lock: it may read
+        # from disk.
         self.cache.get(fingerprint)
-        processor = self._processor(fingerprint)
         with self._lock:
             if self._closed:
                 raise ServiceClosedError(
@@ -180,7 +114,7 @@ class MachineRouter:
             lane = self._lanes.get(fingerprint)
             if lane is None:
                 lane = MicroBatcher(
-                    process=processor,
+                    process=self._processor(fingerprint),
                     label=fingerprint,
                     max_batch_size=self.max_batch_size,
                     max_wait_s=self.max_wait_s,
@@ -205,12 +139,9 @@ class MachineRouter:
         """Hot-swap a machine's mapping if its artifact file changed.
 
         The zero-downtime cutover: the hot cache entry is replaced
-        atomically (flushes already holding the old compiled mapping
-        drain on it; every later flush resolves the new one), and in
-        process-lane mode the fingerprint's worker is recycled *between*
-        flushes — the swap lock guarantees no flush is mid-call when the
-        old worker stops, and the next flush spawns a fresh worker from
-        the republished artifact.  In-flight requests are never failed.
+        atomically — flushes already holding the old compiled mapping
+        drain on it, and every later flush resolves the new one.
+        In-flight requests are never failed.
 
         Returns the new compiled mapping when a swap happened, ``None``
         when the artifact is unchanged or not resident.  Raises the
@@ -224,15 +155,6 @@ class MachineRouter:
                 return None
             lane = self._lanes.get(fingerprint)
             pending = lane.pending if lane is not None else 0
-            with self._swap_lock(fingerprint):
-                with self._lock:
-                    retired = self._process_lanes.pop(fingerprint, None)
-                    # A recycled fingerprint gets a fresh chance to spawn:
-                    # the republished artifact may be servable by a worker
-                    # even if an earlier spawn failed.
-                    self._process_degraded.discard(fingerprint)
-                if retired is not None:
-                    retired.stop()
             self.stats.record_republish(pending)
             span.set(swapped=True, drain_pending=pending)
         return compiled
@@ -243,13 +165,12 @@ class MachineRouter:
         Payloads are :class:`~repro.predictors.batch.KernelLowering`
         objects (the submission path) or whole pre-flattened
         :class:`LoweredBatch` groups (the binary frontend); both accumulate
-        into one preallocated builder, evaluate in the lane's mode, and
+        into one preallocated builder, evaluate on the lane thread, and
         come back as a flat prediction list.  Build and predict wall time
         is attributed per flush into the shared stats — what the profiling
         harness reads.
         """
         builder = LoweredBatchBuilder()  # single scheduler thread per lane
-        predict = self._arrays_predictor(fingerprint)
         stats = self.stats
 
         def process(payloads: List) -> List[Prediction]:
@@ -261,7 +182,9 @@ class MachineRouter:
                     builder.append(payload)
             batch = builder.take()
             predict_start = time.perf_counter()
-            ipcs, fractions = predict(batch)
+            # Per-flush cache lookup: an evicted mapping re-loads here.
+            matrix = self.cache.get(fingerprint).matrix
+            ipcs, fractions = matrix.predict_lowered_arrays(batch)
             done = time.perf_counter()
             stats.record_flush_phases(
                 build=predict_start - build_start, predict=done - predict_start
@@ -269,108 +192,6 @@ class MachineRouter:
             return predictions_from_arrays(ipcs, fractions)
 
         return process
-
-    def _arrays_predictor(self, fingerprint: str):
-        """The mode-specific batch evaluator: LoweredBatch -> (ipcs, fractions)."""
-        if self.lane_mode == "process":
-            swap_lock = self._swap_lock(fingerprint)
-
-            def predict_in_worker(batch: LoweredBatch):
-                # The worker is resolved per flush (not captured at lane
-                # creation): a republish recycles the worker process, and
-                # the next flush transparently spawns a fresh one compiled
-                # from the new artifact.  The swap lock keeps a concurrent
-                # republish from stopping the worker mid-call.
-                with swap_lock:
-                    process_lane = self._current_process_lane(fingerprint)
-                    if process_lane is not None:
-                        return process_lane.call(
-                            batch.instruction_ids,
-                            batch.counts,
-                            batch.lengths,
-                            batch.sizes,
-                        )
-                # Degraded (warned once): thread evaluation, same results.
-                return self.cache.get(fingerprint).matrix.predict_lowered_arrays(
-                    batch
-                )
-
-            return predict_in_worker
-
-        def predict_in_thread(batch: LoweredBatch):
-            # Per-flush cache lookup: an evicted mapping re-loads here.
-            return self.cache.get(fingerprint).matrix.predict_lowered_arrays(batch)
-
-        return predict_in_thread
-
-    def _swap_lock(self, fingerprint: str) -> threading.Lock:
-        with self._lock:
-            lock = self._swap_locks.get(fingerprint)
-            if lock is None:
-                lock = self._swap_locks[fingerprint] = threading.Lock()
-            return lock
-
-    def _current_process_lane(
-        self, fingerprint: str
-    ) -> Optional[ProcessWorkerLane]:
-        """The fingerprint's live worker, spawning one unless degraded."""
-        with self._lock:
-            lane = self._process_lanes.get(fingerprint)
-            if lane is not None:
-                return lane
-            if fingerprint in self._process_degraded:
-                return None
-        return self._ensure_process_lane(fingerprint)
-
-    def _ensure_process_lane(
-        self, fingerprint: str
-    ) -> Optional[ProcessWorkerLane]:
-        """The fingerprint's worker process, spawned on first use.
-
-        Returns ``None`` — after emitting a warning — when the worker
-        cannot be brought up, so the caller degrades to thread evaluation
-        instead of refusing the lane.
-        """
-        with self._process_spawn_lock:
-            with self._lock:
-                existing = self._process_lanes.get(fingerprint)
-                if existing is not None:
-                    return existing
-            compiled = self.cache.get(fingerprint)
-            lut = compiled.matrix.interned_lut_snapshot()
-            context = (str(self.cache.registry.root), fingerprint, lut)
-            try:
-                lane = ProcessWorkerLane(
-                    _process_lane_worker,
-                    context,
-                    name=f"lane-{fingerprint[:12]}",
-                ).start()
-            except (OSError, ProcessLaneError, ValueError) as error:
-                warnings.warn(
-                    f"process lane unavailable for {fingerprint[:16]} "
-                    f"({error!r}); falling back to thread-lane evaluation",
-                    stacklevel=3,
-                )
-                with self._lock:
-                    self._process_degraded.add(fingerprint)
-                return None
-        with self._lock:
-            if self._closed:
-                spare = lane  # closed while spawning: nothing may own it
-                existing = None
-            else:
-                existing = self._process_lanes.get(fingerprint)
-                if existing is not None:  # lost a creation race
-                    spare = lane
-                else:
-                    self._process_lanes[fingerprint] = lane
-                    return lane
-        spare.stop()
-        if existing is None:
-            raise ServiceClosedError(
-                "the service is stopped; no new requests accepted"
-            )
-        return existing
 
     # -- name resolution -----------------------------------------------------
     def _registry_stamp(self) -> Optional[float]:

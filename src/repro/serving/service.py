@@ -64,12 +64,6 @@ class PredictionService:
         How many compiled machine mappings stay resident (LRU beyond).
     lowering_cache_capacity:
         How many per-kernel lowerings stay resident (LRU beyond).
-    lane_mode:
-        ``"thread"`` (default) evaluates batches on the lane scheduler
-        thread; ``"process"`` ships them to a per-machine shared-memory
-        worker process (GIL-free; bitwise-identical results), degrading
-        back to thread evaluation with a warning when the host cannot
-        spawn one.
 
     Examples
     --------
@@ -90,7 +84,6 @@ class PredictionService:
         max_pending: Optional[int] = 4096,
         mapping_cache_capacity: int = 8,
         lowering_cache_capacity: int = 65536,
-        lane_mode: str = "thread",
     ) -> None:
         if not isinstance(registry, ArtifactRegistry):
             registry = ArtifactRegistry(registry, readonly=True)
@@ -103,7 +96,6 @@ class PredictionService:
             max_batch_size=max_batch_size,
             max_wait_s=max_wait_s,
             max_pending=max_pending,
-            lane_mode=lane_mode,
         )
         self._lowerings = KernelLoweringCache(
             capacity=lowering_cache_capacity, stats=self.stats
@@ -255,15 +247,12 @@ class PredictionService:
             "pending": pending,
             "max_pending": self.router.max_pending,
             "lanes": len(lanes),
-            "lane_mode": self.router.lane_mode,
             "artifacts": len(self.registry.entries()),
         }
 
     def snapshot(self) -> dict:
         """JSON-ready view of the serving statistics."""
-        snap = self.stats.snapshot()
-        snap["lane_mode"] = self.router.lane_mode
-        return snap
+        return self.stats.snapshot()
 
 
 class ServicePredictor:

@@ -348,35 +348,3 @@ class TestZeroDowntimeRepublish:
         finally:
             for node in nodes:
                 node.stop()
-
-    def test_republish_recycles_process_lanes(
-        self, tmp_path, toy_machine, versions
-    ):
-        """In process-lane mode the worker is respawned on the new artifact."""
-        artifact_v1, artifact_v2, blocks, references = versions
-        version_v2 = artifact_v2.created_at
-        source = tmp_path / "source"
-        ArtifactRegistry(source).save(artifact_v1)
-        node = ClusterNode(
-            "n0",
-            source,
-            tmp_path / "replica",
-            lane_mode="process",
-        ).start()
-        try:
-            fingerprint = artifact_v1.machine_fingerprint
-            with ServingClient(*node.address) as client:
-                before = client.predict_blocks([blocks[1]], fingerprint=fingerprint)
-                assert before["ok"]
-                ArtifactRegistry(source).save(artifact_v2)
-                node.sync()
-                outcome = client.republish()
-                assert list(outcome["swapped"]) == [fingerprint]
-                after = client.predict_blocks([blocks[1]], fingerprint=fingerprint)
-                assert after["ok"]
-                assert after["version"] == version_v2
-                assert prediction_key(after["predictions"][0]) == references[
-                    version_v2
-                ][1]
-        finally:
-            node.stop()

@@ -1,11 +1,9 @@
 """Regression suite for the concurrency-32 serving fix surface.
 
-Pins down the three legs of the fix differentially:
+Pins down, differentially:
 
-* :class:`repro.runtime.ProcessWorkerLane` — the shared-memory worker
-  process primitive (chunking, per-call error recovery, teardown);
-* ``lane_mode="process"`` — bitwise-identical to the thread lane for the
-  same corpus and interleavings;
+* overload recovery — a burst refused at the admission bound must not
+  poison the lane: capacity comes back and answers stay bitwise-correct;
 * the negotiated binary framing — bitwise-identical to the JSON line
   protocol for the same blocks, with typed refusals for malformed frames;
 
@@ -23,13 +21,11 @@ import struct
 import threading
 import time
 
-import numpy as np
 import pytest
 
 from repro.artifacts import ArtifactRegistry
 from repro.measure.fingerprint import machine_fingerprint
 from repro.predictors import PalmedPredictor
-from repro.runtime import ProcessLaneError, ProcessWorkerLane
 from repro.serving import (
     BinaryServingClient,
     InvalidRequestError,
@@ -70,186 +66,12 @@ def lane_reference(toy_machine, small_skl_machine):
     }
 
 
-# -- worker factories (module-level: importable under a spawn fallback) ------
-
-def _sum_and_scale_worker(context):
-    scale = float(context)
-
-    def handler(instruction_ids, counts, lengths, sizes):
-        offsets = np.concatenate(([0], np.cumsum(lengths)))[:-1]
-        per_group = np.add.reduceat(counts, offsets)
-        return per_group, sizes * scale
-
-    return handler
-
-
-def _fussy_worker(context):
-    def handler(instruction_ids, counts, lengths, sizes):
-        if (sizes < 0).any():
-            raise ValueError("negative size slipped through")
-        return sizes.copy(), sizes.copy()
-
-    return handler
-
-
-def _broken_factory(context):
-    raise RuntimeError("this worker never comes up")
-
-
-class TestProcessWorkerLane:
-    def test_call_round_trips_through_shared_memory(self):
-        lane = ProcessWorkerLane(_sum_and_scale_worker, 3.0).start()
-        try:
-            ids = np.array([5, 9, 2, 2, 7], dtype=np.intp)
-            counts = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
-            lengths = np.array([2, 3], dtype=np.intp)
-            sizes = np.array([3.0, 28.0])
-            sums, scaled = lane.call(ids, counts, lengths, sizes)
-            assert sums.tolist() == [3.0, 28.0]
-            assert scaled.tolist() == [9.0, 84.0]
-        finally:
-            lane.stop()
-        assert not lane.running
-
-    def test_chunking_matches_single_shot(self):
-        """A call larger than the slab capacity splits at group boundaries."""
-        wide = ProcessWorkerLane(_sum_and_scale_worker, 1.0).start()
-        narrow = ProcessWorkerLane(
-            _sum_and_scale_worker, 1.0, entry_capacity=8, group_capacity=4
-        ).start()
-        try:
-            rng = np.random.default_rng(11)
-            lengths = rng.integers(1, 4, size=10)
-            total = int(lengths.sum())
-            ids = rng.integers(0, 50, size=total).astype(np.intp)
-            counts = rng.uniform(0.5, 4.0, size=total)
-            sizes = rng.uniform(1.0, 9.0, size=10)
-            one_shot = wide.call(ids, counts, lengths.astype(np.intp), sizes)
-            chunked = narrow.call(ids, counts, lengths.astype(np.intp), sizes)
-            for left, right in zip(one_shot, chunked):
-                assert left.tobytes() == right.tobytes()
-        finally:
-            wide.stop()
-            narrow.stop()
-
-    def test_group_exceeding_entry_capacity_is_refused(self):
-        lane = ProcessWorkerLane(
-            _sum_and_scale_worker, 1.0, entry_capacity=4, group_capacity=4
-        ).start()
-        try:
-            with pytest.raises(ProcessLaneError, match="entry capacity"):
-                lane.call(
-                    np.arange(6, dtype=np.intp),
-                    np.ones(6),
-                    np.array([6], dtype=np.intp),
-                    np.ones(1),
-                )
-        finally:
-            lane.stop()
-
-    def test_handler_error_propagates_and_lane_survives(self):
-        lane = ProcessWorkerLane(_fussy_worker, None).start()
-        try:
-            good = (
-                np.array([1], dtype=np.intp),
-                np.array([2.0]),
-                np.array([1], dtype=np.intp),
-            )
-            with pytest.raises(ProcessLaneError, match="negative size"):
-                lane.call(*good, np.array([-1.0]))
-            # The worker caught the error; the very next call must work.
-            sizes, _ = lane.call(*good, np.array([7.0]))
-            assert sizes.tolist() == [7.0]
-            assert lane.running
-        finally:
-            lane.stop()
-
-    def test_setup_failure_raises_at_start(self):
-        lane = ProcessWorkerLane(_broken_factory, None)
-        with pytest.raises(ProcessLaneError, match="never comes up"):
-            lane.start()
-        assert not lane.running
-
-    def test_stop_is_idempotent(self):
-        lane = ProcessWorkerLane(_sum_and_scale_worker, 1.0).start()
-        lane.stop()
-        lane.stop()
-        assert not lane.running
-
-
-class TestProcessLaneDifferential:
-    def test_process_lane_bitwise_equal_thread_lane(
-        self, lanes_registry, toy_machine, small_skl_machine, lane_reference
-    ):
-        """Same corpus, same interleavings, both lane modes, one answer."""
-        machines = (toy_machine, small_skl_machine)
-        corpus = {
-            machine_fingerprint(machine): random_kernels(
-                machine.benchmarkable_instructions(), 24, seed=31
-            )
-            for machine in machines
-        }
-        outcomes = {}
-        for mode in ("thread", "process"):
-            service = PredictionService(lanes_registry, lane_mode=mode).start()
-            try:
-                results = {}
-                errors = []
-
-                def client(fingerprint, kernels, worker):
-                    try:
-                        futures = [
-                            service.submit(fingerprint, kernel)
-                            for kernel in kernels
-                        ]
-                        results[(fingerprint, worker)] = [
-                            future.result(timeout=30.0) for future in futures
-                        ]
-                    except Exception as error:  # noqa: BLE001 - reported below
-                        errors.append(error)
-
-                threads = [
-                    threading.Thread(
-                        target=client, args=(fingerprint, kernels, worker)
-                    )
-                    for fingerprint, kernels in corpus.items()
-                    for worker in range(2)
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join()
-                assert not errors, errors
-                if mode == "process":
-                    # The fix under test must actually be engaged, not the
-                    # thread fallback.
-                    assert service.router._process_lanes, (
-                        "process lane mode silently degraded to threads"
-                    )
-                outcomes[mode] = results
-            finally:
-                service.stop()
-
-        for key, thread_predictions in outcomes["thread"].items():
-            process_predictions = outcomes["process"][key]
-            fingerprint = key[0]
-            reference = lane_reference[fingerprint]
-            for kernel, left, right in zip(
-                corpus[fingerprint], thread_predictions, process_predictions
-            ):
-                assert_same_prediction(left, right, context=str(kernel))
-                assert_same_prediction(
-                    left, reference.predict(kernel), context=str(kernel)
-                )
-
-    @pytest.mark.parametrize("mode", ["thread", "process"])
+class TestOverloadRecovery:
     def test_overload_then_recover(
-        self, lanes_registry, toy_machine, lane_reference, mode
+        self, lanes_registry, toy_machine, lane_reference
     ):
         """A refused burst must not poison the lane: capacity comes back."""
-        service = PredictionService(
-            lanes_registry, max_pending=8, lane_mode=mode
-        )
+        service = PredictionService(lanes_registry, max_pending=8)
         fingerprint = machine_fingerprint(toy_machine)
         kernels = random_kernels(
             toy_machine.benchmarkable_instructions(), 12, seed=5
