@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.isa.instruction import Extension, Instruction
 from repro.mapping.conjunctive import ConjunctiveResourceMapping
@@ -99,10 +99,6 @@ class Machine:
     def true_ipc(self, kernel: Microkernel) -> float:
         """Ground-truth steady-state IPC (incl. front-end)."""
         return self.true_conjunctive(include_front_end=True).ipc(kernel)
-
-    def peak_ipc(self) -> float:
-        """The machine's absolute IPC ceiling (the front-end width)."""
-        return self.front_end_width
 
     def restricted(self, instructions) -> "Machine":
         """A copy of the machine supporting only the given instructions."""

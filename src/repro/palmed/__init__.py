@@ -28,7 +28,6 @@ from repro.palmed.basic_selection import BasicSelectionResult, select_basic_inst
 from repro.palmed.core_mapping import CoreMappingResult, compute_core_mapping
 from repro.palmed.complete_mapping import (
     CompleteMappingOutcome,
-    complete_mapping,
     run_complete_mapping,
 )
 from repro.palmed.result import PalmedResult, PalmedStats
@@ -44,7 +43,6 @@ __all__ = [
     "PalmedResult",
     "PalmedStats",
     "QuadraticBenchmarks",
-    "complete_mapping",
     "compute_core_mapping",
     "quantize_kernel",
     "run_complete_mapping",

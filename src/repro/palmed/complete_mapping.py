@@ -381,13 +381,3 @@ def run_complete_mapping(
         solver_stats=stats,
     )
 
-
-def complete_mapping(
-    runner: BenchmarkRunner,
-    instructions: Iterable[Instruction],
-    core: CoreMappingResult,
-    config: PalmedConfig,
-    on_error: str = "skip",
-) -> Dict[Instruction, Dict[int, float]]:
-    """Backwards-compatible wrapper around :func:`run_complete_mapping`."""
-    return run_complete_mapping(runner, instructions, core, config, on_error).mapped

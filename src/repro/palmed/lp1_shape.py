@@ -22,9 +22,9 @@ binary selector variables and big-M implications (the big-M is always the
 number of terms involved, so the relaxation stays tight).
 
 The ILP is assembled through the sparse :class:`repro.solvers.ModelBuilder`
-(COO triplets, one compilation per solve) — the shape problem is solved a
+(COO triplets, one compilation per solve); the shape problem is solved a
 handful of times per run, but it is by far the *largest* model in the
-pipeline and profits most from skipping per-expression dict merging.
+pipeline.
 """
 
 from __future__ import annotations
@@ -65,10 +65,6 @@ class ShapeMapping:
             (inst for inst, resources in self.edges.items() if resource in resources),
             key=lambda inst: inst.name,
         )
-
-    @property
-    def num_edges(self) -> int:
-        return sum(len(resources) for resources in self.edges.values())
 
 
 def saturating_instructions(
@@ -120,7 +116,7 @@ def solve_shape(
     }
     used = {r: builder.add_binary() for r in resources}
 
-    def add_exists(selectors: Sequence[int]) -> None:
+    def require_any(selectors: Sequence[int]) -> None:
         """Require at least one of the binary selector columns to be 1."""
         builder.add_row_entries(selectors, [1.0] * len(selectors), lo=1.0)
 
@@ -141,7 +137,7 @@ def solve_shape(
 
     # Every basic instruction uses at least one resource.
     for inst in basic:
-        add_exists([rho[(inst, r)] for r in resources])
+        require_any([rho[(inst, r)] for r in resources])
 
     # Very basic instructions: at least one resource unused by the other
     # very basic instructions (Algorithm 3, line 4).
@@ -154,7 +150,7 @@ def solve_shape(
             builder.add_row_entries([selector, rho[(inst, r)]], [1.0, -1.0], hi=0.0)
             for other in others:
                 builder.add_row_entries([selector, rho[(other, r)]], [1.0, 1.0], hi=1.0)
-        add_exists(selectors)
+        require_any(selectors)
 
     # Greedy instructions: at least one resource shared with every
     # non-disjoint basic instruction (Algorithm 3, line 5).
@@ -174,7 +170,7 @@ def solve_shape(
                 builder.add_row_entries(
                     [selector, rho[(other, r)]], [1.0, -1.0], hi=0.0
                 )
-        add_exists(selectors)
+        require_any(selectors)
 
     # Per-kernel constraints (Algorithm 3, lines 6-10).
     for observation in observations:
@@ -204,7 +200,7 @@ def solve_shape(
                         builder.add_row_entries(
                             [selector, rho[(other, r)]], [1.0, 1.0], hi=1.0
                         )
-                add_exists(selectors)
+                require_any(selectors)
         else:
             selectors = []
             for r in resources:
@@ -214,7 +210,7 @@ def solve_shape(
                     builder.add_row_entries(
                         [selector, rho[(inst, r)]], [1.0, -1.0], hi=0.0
                     )
-            add_exists(selectors)
+            require_any(selectors)
 
     # Primary objective: number of resources; secondary: number of edges.
     big = float(len(basic) * num_resources + 1)

@@ -27,8 +27,8 @@ for low-IPC instructions), which only differ by their inputs.
 
 Sparse incremental construction
 -------------------------------
-Models are built through :class:`repro.solvers.ModelBuilder` (COO triplets,
-no per-expression dict merging) and compiled once per *structure* into a
+Models are built through :class:`repro.solvers.ModelBuilder` (COO triplets)
+and compiled once per *structure* into a
 :class:`repro.solvers.ModelTemplate`: the sparsity pattern of a BWP depends
 only on which free instructions appear in which kernels and which edges are
 admissible, while every number in it — usage coefficients, frozen-core
@@ -86,16 +86,6 @@ class WeightSolution:
     rho: Dict[Instruction, Dict[int, float]]
     saturation: Dict[KernelObservation, float]
     total_error: float
-
-    def saturated_kernels(self, resource: int, problem: WeightProblem,
-                          tolerance: float = 0.05) -> List[KernelObservation]:
-        """Kernels whose load on ``resource`` reaches (1 - tolerance)."""
-        result = []
-        for observation in problem.observations:
-            load = kernel_resource_usage(observation, resource, self.rho, problem.frozen_rho)
-            if load >= 1.0 - tolerance:
-                result.append(observation)
-        return result
 
 
 def kernel_resource_usage(

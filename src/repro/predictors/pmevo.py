@@ -20,13 +20,11 @@ predicted IPC on single- and pair-instruction benchmarks, trained on a
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.isa.instruction import Instruction
-from repro.machines.machine import Machine
 from repro.mapping.conjunctive import ConjunctiveResourceMapping
 from repro.mapping.disjunctive import DisjunctivePortMapping, MicroOp
 from repro.mapping.dual import build_dual
@@ -107,13 +105,6 @@ class _EvolutionState:
         return child
 
     # -- fitness ----------------------------------------------------------------
-    def predicted_ipc(self, genome: Genome, kernel: Microkernel) -> float:
-        mapping = _genome_to_conjunctive(genome, self.config.num_ports)
-        cycles = mapping.cycles(kernel)
-        if cycles <= 0:
-            return float("inf")
-        return kernel.size / cycles
-
     def fitness(self, genome: Genome) -> float:
         """Mean squared relative IPC error over the training benchmarks (lower is better)."""
         mapping = _genome_to_conjunctive(genome, self.config.num_ports)
@@ -241,15 +232,3 @@ class PMEvoPredictor:
         """Per-kernel predictions via the generic serial fallback."""
         return predict_batch_serial(self, kernels)
 
-
-def port_pressure_baseline(machine: Machine) -> Dict[Instruction, float]:
-    """Reciprocal-throughput table derived from the machine, for reference.
-
-    Not used by the predictors themselves; exposed as a convenience for the
-    examples that want to display per-instruction peak throughput next to
-    the inferred mappings (similar to the tables published by uops.info).
-    """
-    table = {}
-    for instruction in machine.instructions:
-        table[instruction] = machine.true_ipc(Microkernel.single(instruction))
-    return table

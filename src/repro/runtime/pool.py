@@ -21,8 +21,9 @@ Failure semantics
 -----------------
 Environments without working process pools (no fork/semaphores, unpicklable
 contexts) degrade to the in-process path with a warning.  Exceptions raised
-by the chunk function itself re-raise in the parent with their original
-type, exactly as on the sequential path.
+by the chunk function itself come back from the worker as values and
+re-raise in the parent with their original type, exactly as on the
+sequential path — even an ``OSError`` never triggers the fallback.
 """
 
 from __future__ import annotations
@@ -39,9 +40,8 @@ Result = TypeVar("Result")
 
 #: Failures that mean "this environment cannot do process pools": pool setup
 #: errors (no fork/semaphores, dead workers) and pickling failures of ad-hoc
-#: context objects.  Deliberately narrow — an exception raised by the chunk
-#: function inside a worker re-raises in the parent with its original type
-#: and must propagate, exactly as it would on the sequential path.
+#: context objects.  Exceptions raised by the chunk function never reach
+#: this filter: :func:`_run_chunk` returns them as values.
 _POOL_ERRORS = (OSError, BrokenProcessPool, pickle.PicklingError)
 
 #: Per-process ``(chunk function, shared context)`` set once by the pool
@@ -55,11 +55,16 @@ def _initialize_worker(func: Callable, context: object) -> None:
     _WORKER_STATE = (func, context)
 
 
-def _run_chunk(payload: Tuple[int, List]) -> Tuple[int, List]:
+def _run_chunk(
+    payload: Tuple[int, List],
+) -> Tuple[int, Optional[List], Optional[Exception]]:
     start, items = payload
     assert _WORKER_STATE is not None
     func, context = _WORKER_STATE
-    return start, list(func(context, items))
+    try:
+        return start, list(func(context, items)), None
+    except Exception as error:  # ships to the parent, re-raised there
+        return start, None, error
 
 
 class ParallelRuntime:
@@ -114,13 +119,16 @@ class ParallelRuntime:
             return list(func(context, items))
         chunks = self._chunks(items)
         results: List = [None] * len(items)
+        failure: Optional[Exception] = None
         try:
             with ProcessPoolExecutor(
                 max_workers=min(self.workers, len(chunks)),
                 initializer=_initialize_worker,
                 initargs=(func, context),
             ) as pool:
-                for start, values in pool.map(_run_chunk, chunks):
+                for start, values, failure in pool.map(_run_chunk, chunks):
+                    if failure is not None:
+                        break
                     results[start : start + len(values)] = values
         except _POOL_ERRORS as error:
             # Environments without working process pools (restricted
@@ -132,6 +140,10 @@ class ParallelRuntime:
                 stacklevel=3,
             )
             return list(func(context, items))
+        if failure is not None:
+            # Raised outside the fallback filter: the chunk function's own
+            # error, whatever its type, is the caller's to handle.
+            raise failure
         return results
 
     # -- internals -----------------------------------------------------------

@@ -1,28 +1,24 @@
 """Linear and mixed-integer programming substrate.
 
 PALMED's reference implementation relies on PuLP/Gurobi.  This package
-provides an equivalent, self-contained modeling layer backed by
+provides an equivalent, self-contained layer backed by
 :func:`scipy.optimize.milp` (the HiGHS solver), which handles both pure
-LPs and MILPs.  Two construction front-ends share one solve gateway:
-
-``Model``
-    Expression-based modeling (variables, ``LinearExpression`` arithmetic,
-    named constraints) — convenient for one-off models such as LP1.
-``ModelBuilder`` / ``ModelTemplate``
-    Sparse incremental construction: COO triplets compiled once into a
-    reusable template whose data (coefficients, bounds, objective) can be
-    rebound between solves.  This is the hot path of LP2/LPAUX, where
-    thousands of identically-shaped problems rebind data instead of
-    rebuilding structure.
+LPs and MILPs.  Every model — LP1, LP2 and LPAUX alike — is built the
+same way: :class:`ModelBuilder` appends variables, rows and COO
+triplets, and :meth:`ModelBuilder.build` compiles them once into a
+:class:`ModelTemplate` whose data (coefficients, bounds, objective) can
+be rebound between solves.  Thousands of identically-shaped problems
+therefore rebind data instead of rebuilding structure.  Every solve goes
+through the one gateway :func:`solve_milp_arrays`.
 
 Public API
 ----------
-``Model``, ``Variable``, ``LinearExpression``, ``Constraint``
-    The expression-based front-end.
 ``ModelBuilder``, ``ModelTemplate``, ``TemplateSolution``
-    The sparse/template front-end.
-``Solution``, ``SolveStatus``
-    Results of solves.
+    The builder, the compiled reusable model and its solve result.
+``solve_milp_arrays``
+    The single gateway to the HiGHS backend.
+``SolveStatus``
+    Status of a solve.
 ``SolveStats``, ``solver_stats``, ``reset_solver_stats``, ``use_stats``,
 ``record_stats``
     Per-solve statistics (solve count, build-vs-solve time split).
@@ -35,14 +31,6 @@ from repro.solvers.builder import (
     ModelTemplate,
     TemplateSolution,
     solve_milp_arrays,
-)
-from repro.solvers.lp import (
-    Constraint,
-    LinearExpression,
-    Model,
-    Solution,
-    Variable,
-    lin_sum,
 )
 from repro.solvers.stats import (
     SolveStats,
@@ -59,20 +47,14 @@ from repro.solvers.status import (
 )
 
 __all__ = [
-    "Constraint",
     "InfeasibleError",
-    "LinearExpression",
-    "Model",
     "ModelBuilder",
     "ModelTemplate",
-    "Solution",
     "SolverError",
     "SolveStats",
     "SolveStatus",
     "TemplateSolution",
     "UnboundedError",
-    "Variable",
-    "lin_sum",
     "record_stats",
     "reset_solver_stats",
     "solve_milp_arrays",

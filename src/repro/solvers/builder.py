@@ -1,12 +1,10 @@
 """Sparse incremental model construction and reusable solve templates.
 
-The classic :class:`repro.solvers.Model` front-end builds constraints out of
-:class:`LinearExpression` dictionaries — convenient for small one-off
-models, but every solve re-merges Python dicts and re-assembles the sparse
-matrix from scratch.  The PALMED linear programs have a very different
-profile: LPAUX solves *thousands* of identically-shaped weight problems and
-the heuristic BWP re-solves the same structure once per round.  This module
-provides the sparse path those hot spots use:
+Every PALMED linear program — LP1's shape ILP, LP2's and LPAUX's weight
+problems — is built with this module.  LPAUX solves *thousands* of
+identically-shaped weight problems and the heuristic BWP re-solves the
+same structure once per round, so construction appends flat COO triplets
+and one compiled structure serves many solves by rebinding its data:
 
 ``ModelBuilder``
     Incremental COO-triplet construction: variables, rows and matrix
@@ -29,10 +27,10 @@ provides the sparse path those hot spots use:
     solve options, a hit returns exactly the solution a cold solve of
     the same problem would have produced.
 ``solve_milp_arrays``
-    The one low-level gateway to :func:`scipy.optimize.milp` shared by
-    :class:`ModelTemplate` and :class:`repro.solvers.Model`, so status
-    mapping, error translation and per-solve statistics are identical on
-    both paths.
+    The one low-level gateway to :func:`scipy.optimize.milp`: every
+    :meth:`ModelTemplate.solve` that reaches the backend goes through it,
+    so status mapping, error translation and per-solve statistics live in
+    one place.
 
 Every structure build and every solve is accounted in
 :mod:`repro.solvers.stats`; template reuse is visible there as

@@ -47,10 +47,8 @@ class SolveStats:
     ----------
     model_builds:
         Number of model structures constructed (one per
-        :meth:`repro.solvers.ModelBuilder.build` and one per
-        :meth:`repro.solvers.Model.solve`, which assembles its matrix on
-        every call).  Template reuse shows up as ``model_builds`` smaller
-        than ``solves``.
+        :meth:`repro.solvers.ModelBuilder.build`).  Template reuse shows
+        up as ``model_builds`` smaller than ``solves``.
     solves:
         Number of MILP/LP solve *requests*.  A request served from a
         template's warm-start memo counts here too (and in
@@ -263,11 +261,6 @@ def record_rebind(seconds: float) -> None:
     """Account one template data rebind."""
     _ACTIVE.rebinds += 1
     _ACTIVE.rebind_time += seconds
-
-
-def record_chunks(count: int) -> None:
-    """Account ``count`` executed LPAUX solve chunks."""
-    _ACTIVE.lp_chunks += count
 
 
 def record_limit_solve() -> None:

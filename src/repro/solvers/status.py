@@ -1,8 +1,9 @@
 """Solve statuses and solver-layer exceptions.
 
-Shared by the classic :class:`repro.solvers.Model` front-end and the sparse
-:class:`repro.solvers.ModelBuilder`/:class:`repro.solvers.ModelTemplate`
-path, so both report failures identically.
+:func:`repro.solvers.builder.solve_milp_arrays` maps every backend status
+code through :func:`map_status` and raises these exceptions, so every
+model built with :class:`repro.solvers.ModelBuilder` reports failures
+the same way.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import warnings
 
 import pytest
 
@@ -29,6 +30,13 @@ from repro.palmed import Palmed, PalmedConfig
 from repro.palmed.benchmarks import BenchmarkRunner
 
 WORKER_COUNTS = (0, 1, 2, 4)
+
+
+class _OSErrorBackend(PortModelBackend):
+    """A backend whose batch measurement fails with an ``OSError``."""
+
+    def measure_batch(self, kernels):
+        raise OSError("measurement device unavailable")
 
 
 def _random_kernels(machine, count=24, seed=7):
@@ -118,6 +126,23 @@ class TestParallelDispatcher:
             ParallelDispatcher(workers=workers).measure(
                 PortModelBackend(toy_machine), [Microkernel.single(alien)]
             )
+
+    def test_measure_propagates_backend_oserror(self, toy_machine):
+        # OSError is also what a broken process pool raises, but one raised
+        # by the backend is the measurement's own failure: it must reach
+        # the caller without the "pool unavailable" fallback re-running the
+        # batch in-process.
+        kernels = _random_kernels(toy_machine, count=8)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(OSError, match="measurement device unavailable"):
+                ParallelDispatcher(workers=2).measure(
+                    _OSErrorBackend(toy_machine), kernels
+                )
+        fallbacks = [
+            w for w in caught if "parallel execution unavailable" in str(w.message)
+        ]
+        assert fallbacks == []
 
     def test_noisy_backend_parallel_identical(self, toy_machine):
         noise = MeasurementNoise(relative_stddev=0.05, quantization=0.01, seed=11)
