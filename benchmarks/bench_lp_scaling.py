@@ -3,11 +3,12 @@
 The paper splits pipeline cost into benchmarking time and LP solving time
 (Table II); the complete-mapping phase (Algorithm 5 / LPAUX) contains both:
 ``|instructions| × |resources|`` saturating-kernel measurements and one
-constant-size weight problem per instruction.  The measurement half fans
-out over :class:`repro.runtime.ParallelRuntime`; the solving half runs on
-the batched engine — instructions grouped into lane-pinned chunks,
-executed by persistent :class:`repro.runtime.LanePool` worker processes
-whose template caches and warm-start memos survive across chunks.
+constant-size weight problem per instruction.  Both halves fan out over
+the same lane-pinned worker processes (:func:`repro.runtime.run_lanes`):
+the measurement half as one contiguous chunk of kernels per lane, the
+solving half on the batched engine — instructions grouped into
+lane-pinned chunks whose lanes keep their template caches and warm-start
+memos across chunks.
 
 ``test_complete_mapping_wallclock_speedup_skylake`` is the acceptance
 bench: it reproduces the real-hardware regime (one microbenchmark costs
@@ -41,7 +42,6 @@ from repro.palmed.benchmarks import BenchmarkRunner
 from repro.palmed.complete_mapping import run_complete_mapping
 from repro.palmed.core_mapping import compute_core_mapping
 from repro.palmed.quadratic import QuadraticBenchmarks
-from repro.runtime import ParallelRuntime
 
 import pytest
 
@@ -121,8 +121,7 @@ def test_lpaux_solver_scaling(skl_lp_setup):
         runner,
         instructions,
         core,
-        warm_config,
-        runtime=ParallelRuntime(workers=LP_WORKERS),
+        dataclasses.replace(warm_config, lp_parallelism=LP_WORKERS),
     )
 
     # The determinism contract: identical usages, identical request counts.
@@ -196,8 +195,8 @@ def test_complete_mapping_wallclock_speedup_skylake(skl_lp_setup):
     per-benchmark measurement latency (the Table II regime, exactly as in
     ``bench_scalability``'s cache-speedup bench), so the phase pays both its
     measurement and its LP cost; the parallel run fans the measurement half
-    over the shared runtime and the solving half over the batched engine
-    (4 measurement workers + 4 LP worker lanes).
+    and the solving half over lane processes (4 measurement lanes + 4 LP
+    worker lanes).
     """
     machine, config, _, instructions, core = skl_lp_setup
     latency = 0.02
@@ -262,27 +261,28 @@ def test_complete_mapping_wallclock_speedup_skylake(skl_lp_setup):
     )
 
 
-def test_lpaux_parallel_identical_small(benchmark):
+def test_lpaux_parallel_identical_small(benchmark, monkeypatch):
     """CI smoke: tiny ISA, every LP worker count bitwise identical + reuse."""
     machine, config, runner, instructions, core = _build_core(18)
 
     serial = run_complete_mapping(runner, instructions, core, config)
     for workers in (2, LP_WORKERS):
         outcome = run_complete_mapping(
-            runner, instructions, core, config,
-            runtime=ParallelRuntime(workers=workers),
+            runner, instructions, core,
+            dataclasses.replace(config, lp_parallelism=workers),
         )
         assert outcome.mapped == serial.mapped
         assert outcome.solver_stats.solves == serial.solver_stats.solves
     assert serial.solver_stats.model_builds < serial.solver_stats.solves
 
-    # Chunked in-process emulation reproduces a lane run's counters exactly.
+    # Chunked in-process emulation (this process pinned to one CPU)
+    # reproduces a lane run's counters exactly.
     chunked_config = dataclasses.replace(config, lp_parallelism=2, lp_chunk_size=3)
-    chunked = run_complete_mapping(runner, instructions, core, chunked_config)
-    lanes = run_complete_mapping(
-        runner, instructions, core, config,
-        runtime=ParallelRuntime(workers=2, chunk_size=3),
-    )
+    lanes = run_complete_mapping(runner, instructions, core, chunked_config)
+    with monkeypatch.context() as pinned:
+        pinned.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        chunked = run_complete_mapping(runner, instructions, core, chunked_config)
+    assert chunked.solver_stats.lp_workers_effective == 1
     assert chunked.mapped == serial.mapped
     for name in DETERMINISTIC_COUNTERS + ("warm_start_hits", "rebinds"):
         assert getattr(chunked.solver_stats, name) == getattr(

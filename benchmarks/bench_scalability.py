@@ -12,7 +12,7 @@ ISA sizes.
 regime (where one microbenchmark costs wall-clock time and benchmarking
 dominates the end-to-end pipeline, as in Table II) via the
 ``measurement_latency`` knob of :class:`PortModelBackend`, and measures the
-end-to-end speedup delivered by the batched measurement layer: process-pool
+end-to-end speedup delivered by the batched measurement layer: lane-process
 fan-out for cold runs, persistent :class:`~repro.measure.MeasurementCache`
 hits for warm runs — with bit-identical inferred mappings throughout.
 """

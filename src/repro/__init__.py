@@ -50,7 +50,6 @@ from repro.measure import (
     MeasurementCache,
     ParallelDispatcher,
 )
-from repro.runtime import ParallelRuntime
 from repro.simulator import (
     GreedyCycleSimulator,
     LpReferenceBackend,
@@ -77,7 +76,6 @@ __all__ = [
     "MeasurementNoise",
     "MicroOp",
     "ParallelDispatcher",
-    "ParallelRuntime",
     "Microkernel",
     "Palmed",
     "PalmedConfig",

@@ -10,16 +10,16 @@ the exact inferred mapping — of the sequential scalar path:
   keys combine a kernel fingerprint with a backend fingerprint (machine
   model, noise parameters), so model or seed changes invalidate cleanly.
 * :class:`ParallelDispatcher` — a thin measurement-specific client of
-  :class:`repro.runtime.ParallelRuntime` (the chunked process-pool fan-out
-  also used by the LPAUX solver phase), adding only the backend semantics;
-  ``workers <= 1`` degrades to a plain in-process loop.
+  :func:`repro.runtime.run_lanes` (the lane-pinned fan-out also used by
+  the LPAUX solver phase and the fleet runner), adding only the backend
+  semantics; ``workers <= 1`` measures in-process.
 * :mod:`repro.measure.fingerprint` — canonical kernel keys and machine /
   backend content hashes.
 
-Measurement is *not* the only parallel path anymore: the per-instruction
-LPAUX weight solves fan out over the very same runtime (see
+Measurement is *not* the only parallel path: the per-instruction LPAUX
+weight solves fan out over the very same lanes (see
 ``PalmedConfig.lp_parallelism`` and :mod:`repro.palmed.complete_mapping`).
-See the README's "Shared parallel runtime" section for the layering, and
+See ``docs/architecture.md`` for the layering, and
 ``tests/test_measure_parallel.py`` for the differential guarantees.
 """
 

@@ -3,35 +3,31 @@
 On real hardware, microbenchmarks for one machine can be distributed over
 identical cores (or identical machines) because every measurement is
 independent; the paper's quadratic benchmarking stage is embarrassingly
-parallel.  :class:`ParallelDispatcher` reproduces that execution model as a
-thin measurement-specific client of the shared
-:class:`repro.runtime.ParallelRuntime` substrate: a batch of kernels is
-split into contiguous chunks, the chunks are measured by a pool of worker
-processes (each holding its own copy of the backend), and the results are
-reassembled **in input order**, so the caller observes exactly the sequence
-of values a sequential run would have produced.
-
-All chunking, pooling, ordering and sequential-fallback behaviour lives in
-:mod:`repro.runtime` — the same substrate the solver layer uses to fan out
-the per-instruction LPAUX problems — and this module only contributes the
-measurement semantics: how a chunk of kernels is turned into IPC values on
-a backend, and which backend errors mean "unmeasurable kernel".
+parallel.  :class:`ParallelDispatcher` reproduces that execution model on
+:func:`repro.runtime.run_lanes`, the fan-out the LPAUX solves and fleet
+runs share: a batch of kernels is split into one contiguous chunk per
+lane, each lane process measures its chunk on its own copy of the
+backend, and the results are reassembled **in input order**, so the
+caller observes exactly the sequence of values a sequential run would
+have produced.  This module only contributes the measurement semantics:
+how a chunk of kernels is turned into IPC values on a backend, and which
+backend errors mean "unmeasurable kernel".
 
 Determinism contract
 --------------------
-All bundled backends are deterministic functions of the kernel, so a worker
-process computes bitwise-identical values to the parent; chunk reassembly is
-by index, never by completion order.  ``workers <= 1`` short-circuits to an
-in-process loop with no pool at all — the differential test suite checks
-that every worker count yields identical results.
+All bundled backends are deterministic functions of the kernel, so a lane
+process computes bitwise-identical values to the parent; chunk reassembly
+is by index, never by completion order.  ``workers <= 1`` measures the
+whole batch in-process — the differential test suite checks that every
+worker count yields identical results.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.mapping.microkernel import Microkernel
-from repro.runtime import ParallelRuntime
+from repro.runtime import run_lanes, split_chunks
 from repro.telemetry import TRACER
 
 
@@ -57,15 +53,18 @@ def _measure_chunk_safe(
     return [_safe_ipc(backend, kernel) for kernel in kernels]
 
 
-class ParallelDispatcher(ParallelRuntime):
+class ParallelDispatcher:
     """Deterministically-ordered (optionally parallel) batch measurement.
 
-    A measurement-flavoured :class:`repro.runtime.ParallelRuntime`: the
-    ``workers``/``chunk_size`` parameters, the chunking policy and the
-    sequential degradation are inherited from the shared runtime, and the
-    backend plays the role of the per-worker context (pickled once per
-    worker process, not once per chunk).
+    ``workers`` lane processes each measure one contiguous chunk of a
+    batch; the backend is their shared context, pickled once per lane, not
+    once per kernel.  ``0`` or ``1`` measures in-process.
     """
+
+    def __init__(self, workers: int = 0) -> None:
+        if workers < 0:
+            raise ValueError("workers must be non-negative")
+        self.workers = workers
 
     # -- public API ----------------------------------------------------------
     def measure(self, backend, kernels: Sequence[Microkernel]) -> List[float]:
@@ -74,13 +73,7 @@ class ParallelDispatcher(ParallelRuntime):
         Exceptions raised by the backend (e.g. an unknown instruction)
         propagate to the caller, as in the sequential path.
         """
-        kernels = list(kernels)
-        if not TRACER.enabled:
-            return self.run(_backend_measure, kernels, context=backend)
-        with TRACER.span(
-            "measure.batch", kernels=len(kernels), workers=self.workers
-        ):
-            return self.run(_backend_measure, kernels, context=backend)
+        return self._dispatch(_backend_measure, backend, kernels)
 
     def measure_safe(
         self, backend, kernels: Sequence[Microkernel]
@@ -91,13 +84,21 @@ class ParallelDispatcher(ParallelRuntime):
         converted to ``None``, mirroring the evaluation harness's historical
         skip semantics; other errors propagate.
         """
+        return self._dispatch(_measure_chunk_safe, backend, kernels, safe=True)
+
+    # -- internals -----------------------------------------------------------
+    def _dispatch(
+        self, func: Callable, backend, kernels: Sequence[Microkernel], **span
+    ) -> List:
         kernels = list(kernels)
-        if not TRACER.enabled:
-            return self.run(_measure_chunk_safe, kernels, context=backend)
+        chunks = split_chunks(kernels, self.workers)
         with TRACER.span(
-            "measure.batch", kernels=len(kernels), workers=self.workers, safe=True
+            "measure.batch", kernels=len(kernels), workers=self.workers, **span
         ):
-            return self.run(_measure_chunk_safe, kernels, context=backend)
+            results, _ = run_lanes(
+                func, chunks, backend, self.workers, name="measure-lane"
+            )
+        return [value for chunk in results for value in chunk]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ParallelDispatcher(workers={self.workers}, chunk_size={self.chunk_size})"
+        return f"ParallelDispatcher(workers={self.workers})"

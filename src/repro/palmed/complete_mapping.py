@@ -19,14 +19,15 @@ are batched:
 * the per-instruction weight problems — independent and identically
   shaped — are grouped into contiguous *chunks* (``lp_chunk_size``,
   auto-sized to one chunk per requested lane) and executed on the
-  batched solver engine: chunk ``i`` is pinned to worker lane
-  ``i % lp_parallelism``, each lane is one long-lived process
-  (:class:`repro.runtime.LanePool`) whose
+  batched solver engine through the shared offline fan-out,
+  :func:`repro.runtime.run_lanes`: chunk ``i`` is pinned to worker lane
+  ``i % lp_parallelism``, each lane is one long-lived process whose
   :class:`~repro.palmed.lp2_weights.WeightModelCache` — compiled
   templates plus warm-start memos — persists across all of that lane's
-  chunks.  A host that cannot run lane processes (or a single-core
-  host, where fan-out buys no CPU) executes the *identical* lane-pinned
-  layout in-process (:func:`repro.runtime.run_chunks_in_process`).
+  chunks.  A host that cannot run lane processes, or a process allowed
+  on a single CPU (LPAUX is CPU-bound, so fan-out there buys nothing),
+  executes the *identical* lane-pinned layout in-process
+  (:func:`repro.runtime.run_chunks_in_process`).
 
 Both halves are bitwise-deterministic: chunk layout and lane pinning are
 planned from the requested configuration (never from host sizing or
@@ -41,10 +42,8 @@ benchmarking-vs-LP-time split faithful.
 
 from __future__ import annotations
 
-import math
 import os
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -60,13 +59,7 @@ from repro.palmed.lp2_weights import (
     solve_weights_exact,
     solve_weights_heuristic,
 )
-from repro.runtime import (
-    LanePool,
-    LanePoolError,
-    ParallelRuntime,
-    lane_state,
-    run_chunks_in_process,
-)
+from repro.runtime import lane_state, run_chunks_in_process, run_lanes, split_chunks
 from repro.solvers import SolverError, SolveStats, record_stats, use_stats
 
 
@@ -226,29 +219,6 @@ def _solve_chunk(
     return results
 
 
-def _plan_chunks(
-    num_items: int, lanes_requested: int, chunk_size: Optional[int]
-) -> List[Tuple[int, int]]:
-    """Contiguous ``(start, size)`` chunks of the LPAUX item list.
-
-    Planned from the *requested* lane count and the configured chunk size
-    only — never from effective workers, host sizing or scheduling — so
-    the layout (and with it the lane-pinned cache/memo state evolution,
-    hence every deterministic solver counter) is identical on every host
-    and execution path.  ``chunk_size=None`` auto-sizes one chunk per
-    requested lane: LPAUX items are uniform constant-size problems, so
-    finer chunking buys no load balance.
-    """
-    if num_items == 0:
-        return []
-    if chunk_size is None:
-        chunk_size = math.ceil(num_items / max(1, lanes_requested))
-    return [
-        (start, min(chunk_size, num_items - start))
-        for start in range(0, num_items, chunk_size)
-    ]
-
-
 @dataclass
 class CompleteMappingOutcome:
     """Everything the complete-mapping phase produced.
@@ -272,7 +242,6 @@ def run_complete_mapping(
     core: CoreMappingResult,
     config: PalmedConfig,
     on_error: str = "skip",
-    runtime: Optional[ParallelRuntime] = None,
 ) -> CompleteMappingOutcome:
     """Run LPAUX for every instruction not already in the core mapping.
 
@@ -282,13 +251,6 @@ def run_complete_mapping(
         ``"skip"`` drops instructions whose weight problem fails (mirroring
         the paper's "instructions mapped" < "instructions supported" gap);
         ``"raise"`` propagates the solver error.
-    runtime:
-        Legacy executor override: when given, its ``workers`` and
-        ``chunk_size`` take the place of ``config.lp_parallelism`` /
-        ``config.lp_chunk_size`` in the chunk plan (and host-sizing
-        degradation is skipped — an explicit runtime is an explicit
-        demand).  Execution always goes through the lane-pinned engine;
-        the inferred usages are bitwise identical for every setting.
     """
     core_instructions = set(core.basic_rho)
     remaining = [
@@ -305,26 +267,23 @@ def run_complete_mapping(
     ]
     measurement_time = time.monotonic() - measure_start
 
-    if runtime is not None:
-        lp_workers_requested = max(1, runtime.workers)
-        lp_workers_effective = lp_workers_requested
-        chunk_size = runtime.chunk_size
+    lp_workers_requested = config.lp_parallelism
+    lp_workers_effective = lp_workers_requested
+    if hasattr(os, "sched_getaffinity"):
+        host_cpus = len(os.sched_getaffinity(0))
     else:
-        lp_workers_requested = config.lp_parallelism
-        lp_workers_effective = lp_workers_requested
-        if lp_workers_requested > 1 and (os.cpu_count() or 1) <= 1:
-            # A single-core host gains nothing from LP worker lanes: every
-            # fork pays serialization and scheduler churn for zero added
-            # CPU.  The chunk plan below is lane-pinned from the
-            # *requested* count, so counters are bitwise-identical either
-            # way; only the execution strategy degrades.  Recorded in
-            # lp_workers_requested/effective.
-            lp_workers_effective = 1
-        chunk_size = config.lp_chunk_size
+        host_cpus = os.cpu_count() or 1
+    if lp_workers_requested > 1 and host_cpus <= 1:
+        # CPU-bound solves on one usable CPU gain nothing from lanes.  The
+        # chunk plan below is lane-pinned from the *requested* count, so
+        # counters are bitwise-identical either way; only the execution
+        # strategy degrades (recorded in lp_workers_requested/effective).
+        lp_workers_effective = 1
 
+    # Planned from the *requested* lanes: ``lp_chunk_size=None`` gives one
+    # chunk per lane, since uniform LPAUX problems need no finer balance.
     lanes = max(1, lp_workers_requested)
-    plan = _plan_chunks(len(items), lanes, chunk_size)
-    chunks = [items[start : start + size] for start, size in plan]
+    chunks = split_chunks(items, lanes, config.lp_chunk_size)
 
     context = _LpauxContext(
         num_resources=core.num_resources,
@@ -333,30 +292,11 @@ def run_complete_mapping(
         on_error=on_error,
     )
     solve_start = time.monotonic()
-    chunk_results: Optional[List[List[Tuple[Optional[Dict[int, float]], SolveStats]]]]
-    chunk_results = None
-    if lp_workers_effective > 1 and len(chunks) > 1:
-        # Fewer chunks than lanes leaves the tail lanes unused; chunk i
-        # still lands on lane i either way, so capping changes nothing in
-        # the deterministic layout.
-        pool_lanes = min(lanes, len(chunks))
-        pool = LanePool(pool_lanes, name="lp-lane")
-        try:
-            chunk_results = pool.run(_solve_chunk, chunks, context=context)
-            lp_workers_effective = pool_lanes
-        except LanePoolError as error:
-            # Environments without working lane processes degrade to the
-            # identical in-process layout rather than failing the phase.
-            warnings.warn(
-                f"LP worker lanes unavailable ({error!r}); "
-                "falling back to in-process solving",
-                stacklevel=2,
-            )
-            lp_workers_effective = 1
-    elif lp_workers_effective > 1:
-        # Nothing to fan out (zero or one chunk): solve in-process.
-        lp_workers_effective = 1
-    if chunk_results is None:
+    if lp_workers_effective > 1:
+        chunk_results, lp_workers_effective = run_lanes(
+            _solve_chunk, chunks, context, lanes, name="lp-lane"
+        )
+    else:
         chunk_results = run_chunks_in_process(_solve_chunk, chunks, context, lanes)
     solve_time = time.monotonic() - solve_start
 

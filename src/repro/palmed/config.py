@@ -80,17 +80,19 @@ class PalmedConfig:
     milp_time_limit:
         Time limit (seconds) handed to the MILP solver for LP1/LP2.
     parallelism:
-        Number of worker processes used by the batched measurement layer
+        Number of lane processes used by the batched measurement layer
         (:class:`repro.measure.ParallelDispatcher`).  ``0`` or ``1`` keeps
-        every measurement in-process (the seed behaviour); larger values fan
-        benchmark batches out over a process pool.  The inferred mapping is
+        every measurement in-process (the seed behaviour); larger values
+        split each benchmark batch into one chunk per lane, even on one
+        CPU (measurement may be latency-bound).  The inferred mapping is
         identical for every setting (see ``tests/test_measure_parallel.py``).
     lp_parallelism:
-        Number of worker processes used to fan the independent
+        Number of lane processes used to fan the independent
         per-instruction LPAUX weight problems of the complete-mapping phase
-        over the shared :class:`repro.runtime.ParallelRuntime`.  ``0`` or
-        ``1`` solves them in-process.  The inferred mapping is bitwise
-        identical for every setting (see ``tests/test_lp_parallel.py``).
+        over :func:`repro.runtime.run_lanes`.  ``0`` or ``1`` solves them
+        in-process, as does a process allowed on one CPU (the solves are
+        CPU-bound).  The inferred mapping is bitwise identical for every
+        setting (see ``tests/test_lp_parallel.py``).
     lp_chunk_size:
         Number of LPAUX instructions per solve chunk of the batched
         complete-mapping engine.  ``None`` (the default) auto-sizes one

@@ -18,7 +18,7 @@ and zero LP solves (see ``tests/test_resume.py``).
 All wall-clock accounting uses a monotonic clock; ``benchmarking_time``
 vs ``lp_time`` keeps the paper's Table II split (LPAUX *measurements* are
 benchmarking, not LP solving).  Both halves of the pipeline parallelize
-over the shared :class:`repro.runtime.ParallelRuntime` substrate
+over the shared lane-pinned fan-out, :func:`repro.runtime.run_lanes`
 (``PalmedConfig.parallelism`` / ``lp_parallelism``), and
 ``PalmedConfig.cache_path`` persists raw measurements across runs —
 neither knob affects inferred mappings or checkpoint validity.

@@ -14,8 +14,8 @@ into an explicit *stage graph*:
   on re-run skips any stage whose input hash matches a stored checkpoint
   (bitwise-identical results to a cold run);
 * :mod:`repro.pipeline.fleet` — :class:`FleetRunner`: whole stage graphs
-  fanned over :class:`repro.runtime.ParallelRuntime` to characterize many
-  machines concurrently into one shared registry.
+  fanned over lane-pinned worker processes (:func:`repro.runtime.run_lanes`)
+  to characterize many machines concurrently into one shared registry.
 
 :class:`repro.palmed.Palmed` remains the user-facing driver — now a thin
 facade over this package.  See ``docs/pipeline.md`` for the resume/fleet

@@ -2,18 +2,18 @@
 
 A production PALMED deployment characterizes a *fleet* — every machine
 model in the lab — and serves predictions from the resulting artifact
-registry.  :class:`FleetRunner` fans whole stage-graph runs out over the
-shared :class:`repro.runtime.ParallelRuntime` (the same substrate the
-measurement batches and the LPAUX solves use): each work item is one
-machine, each worker process runs the full checkpointed pipeline for its
-machines and saves both the per-stage checkpoints and the final mapping
-artifact into a shared registry directory.
+registry.  :class:`FleetRunner` fans whole stage-graph runs out over
+:func:`repro.runtime.run_lanes` (the fan-out the measurement batches and
+the LPAUX solves use, which a fleet lane may nest): machine ``i`` runs on
+lane ``i % workers``, and each lane process runs the full checkpointed
+pipeline for its machines and saves both the per-stage checkpoints and
+the final mapping artifact into a shared registry directory.
 
 Checkpoints make the fan-out restartable for free: a fleet run that dies
 halfway loses at most the stages in flight, and re-submitting the same
 fleet resumes every machine from its last finished stage.  Writes are
 atomic (tempfile + rename) and keyed by machine fingerprint, so
-concurrent workers never clobber each other.
+concurrent lanes never clobber each other.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.palmed.config import PalmedConfig
 from repro.palmed.result import PalmedStats
-from repro.runtime import ParallelRuntime
+from repro.runtime import run_lanes
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ class _FleetContext:
 def _characterize_chunk(
     context: _FleetContext, specs: List[FleetMachine]
 ) -> List[FleetOutcome]:
-    """Characterize a chunk of machines (runs in-process or in a worker)."""
+    """Characterize a chunk of machines (runs in-process or in a lane)."""
     # Imports kept local so the module stays importable in fleet worker
     # processes before the full package graph is warm.
     from repro.artifacts import ArtifactRegistry, MappingArtifact
@@ -113,7 +113,7 @@ def _characterize_chunk(
 
 
 class FleetRunner:
-    """Characterize a fleet of machines over the shared parallel runtime.
+    """Characterize a fleet of machines over lane-pinned worker processes.
 
     Parameters
     ----------
@@ -123,11 +123,12 @@ class FleetRunner:
     config:
         Pipeline configuration applied to every machine.  Per-machine
         measurement/LP parallelism is usually left at ``0`` here — the
-        fleet already fans out at machine granularity, and nested process
-        pools multiply workers.
+        fleet already fans out at machine granularity, and nested lanes
+        multiply processes.
     workers:
-        Worker processes for the machine fan-out (``0``/``1`` =
-        sequential in-process).  One machine never spans two workers.
+        Lane processes for the machine fan-out (``0``/``1`` = sequential
+        in-process).  Machine ``i`` always runs on lane ``i % workers``;
+        one machine never spans two lanes.
     resume:
         Serve stages from existing checkpoints (on by default: it is what
         makes a re-submitted fleet run cheap).
@@ -157,17 +158,18 @@ class FleetRunner:
 
     def characterize(self, specs: Sequence[FleetMachine]) -> List[FleetOutcome]:
         """Run the full stage graph for every machine; outcomes in input order."""
-        specs = list(specs)
-        # One machine per chunk: machines are coarse, heterogeneous work
-        # items, so the finest chunking gives the best load balance and the
-        # per-chunk overhead (one registry open) is negligible.
-        runtime = ParallelRuntime(workers=self.workers, chunk_size=1)
         context = _FleetContext(
             registry_root=self.registry_root,
             config=self.config,
             resume=self.resume,
         )
-        return runtime.run(_characterize_chunk, specs, context=context)
+        # One machine per chunk: machines are coarse work items, and the
+        # per-chunk overhead (one registry open) is negligible.
+        chunks = [[spec] for spec in specs]
+        results, _ = run_lanes(
+            _characterize_chunk, chunks, context, self.workers, name="fleet-lane"
+        )
+        return [outcome for chunk in results for outcome in chunk]
 
     @staticmethod
     def format_table(outcomes: Sequence[FleetOutcome]) -> str:

@@ -1,42 +1,45 @@
-"""Persistent lane-pinned worker processes for chunked batch work.
+"""Lane-pinned worker processes: the one offline fan-out.
 
-:class:`ParallelRuntime` fans chunks over a short-lived pool where *any*
-worker may pick up *any* chunk — right for latency-dominated measurement
-batches, wrong for solver batches: which worker ran which chunk would
-decide which template caches and warm-start memos exist where, making the
-solver counters scheduling-dependent, and the per-task dispatch overhead
-is what produced the recorded 0.95x LPAUX "speedup".
-
-:class:`LanePool` is the batch-solving substrate the complete-mapping
-engine uses instead:
+Every offline fan-out in the repository — microbenchmark measurement
+batches (:mod:`repro.measure`), per-instruction LPAUX weight problems
+(:mod:`repro.palmed.complete_mapping`) and fleet characterization
+(:mod:`repro.pipeline.fleet`) — goes through :func:`run_lanes`:
 
 * **Lane pinning** — chunk ``i`` is assigned to lane ``i % lanes`` ahead
   of time; every lane executes its chunks strictly in submission order.
-* **Persistent lanes** — each lane is one long-lived worker process that
-  receives ``(func, context)`` once, then only ``(chunk)`` payloads;
-  lane-local state (:func:`lane_state`) survives across all chunks of a
-  lane, so compiled model templates are built once per lane and rebound
-  for every later chunk.
+  Which lane ran which chunk is planned, never scheduled, so lane-local
+  solver state (template caches, warm-start memos) and with it every
+  solver counter is deterministic.
+* **Persistent lanes** — each lane of a :class:`LanePool` is one
+  long-lived worker process that receives ``(func, context)`` once, then
+  only ``(chunk)`` payloads; lane-local state (:func:`lane_state`)
+  survives across all chunks of a lane, so compiled model templates are
+  built once per lane and rebound for every later chunk.  Lanes are not
+  daemonic: a fleet lane runs a whole pipeline, which may start lanes of
+  its own.
 * **Exact in-process emulation** — :func:`run_chunks_in_process` executes
   the identical lane-pinned layout in the current process, swapping one
   state dictionary per emulated lane around each chunk.  A chunk function
   observes exactly the same state lifecycle on both paths, which is what
-  makes solver statistics bitwise-identical between a degraded serial run
-  and a real multi-process run of the same configuration.
+  makes results and solver statistics bitwise-identical between a
+  degraded serial run and a real multi-process run of the same layout.
 
-Failure semantics match :class:`ParallelRuntime`: environments that cannot
-spawn lane processes (or lose one mid-run) raise :class:`LanePoolError`
-from :meth:`LanePool.run`, and the caller degrades to the emulation path;
-exceptions raised by the chunk function itself re-raise in the parent with
-their original type.
+Failure semantics: environments that cannot spawn lane processes (or lose
+one mid-run) raise :class:`LanePoolError` from :meth:`LanePool.run`, and
+:func:`run_lanes` degrades to the emulation with a warning; exceptions
+raised by the chunk function itself come back from the lane as values and
+re-raise in the parent with their original type — even an ``OSError``
+never triggers the fallback.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import pickle
 import threading
-from typing import Callable, Dict, List, Optional, Sequence
+import warnings
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 #: Failures that mean "this environment cannot run lane processes": process
 #: or pipe setup errors and pickling failures of ad-hoc payloads.  A lane
@@ -66,6 +69,23 @@ def lane_state() -> Dict:
     never shared between lanes.
     """
     return _LANE_STATE
+
+
+def split_chunks(
+    items: Sequence, lanes: int, chunk_size: Optional[int] = None
+) -> List[List]:
+    """Contiguous chunks of ``chunk_size`` items, or one chunk per lane.
+
+    The layout depends on the arguments only — never on effective workers,
+    host sizing or scheduling — so lane-pinned state (and every counter
+    derived from it) evolves identically on every host and execution path.
+    """
+    if chunk_size is None:
+        chunk_size = max(1, math.ceil(len(items) / max(1, lanes)))
+    return [
+        list(items[start : start + chunk_size])
+        for start in range(0, len(items), chunk_size)
+    ]
 
 
 def run_chunks_in_process(
@@ -151,7 +171,6 @@ class LanePool:
                     target=_lane_main,
                     args=(child_conn,),
                     name=f"{self.name}-{index}",
-                    daemon=True,
                 )
                 process.start()
                 child_conn.close()
@@ -195,7 +214,7 @@ class LanePool:
         """Execute chunk ``i`` on lane ``i % lanes``; results in chunk order.
 
         Raises :class:`LanePoolError` when the environment cannot run (or
-        keep) the lane processes — callers degrade to
+        keep) the lane processes — :func:`run_lanes` then degrades to
         :func:`run_chunks_in_process` with the same layout.  An exception
         raised by ``func`` inside a lane re-raises here with its original
         type.
@@ -246,3 +265,36 @@ class LanePool:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LanePool(lanes={self.lanes}, name={self.name!r})"
+
+
+def run_lanes(
+    func: Callable[[object, List], Sequence],
+    chunks: Sequence[List],
+    context: object,
+    lanes: int,
+    name: str,
+) -> Tuple[List[List], int]:
+    """Run chunk ``i`` on lane ``i % lanes``: ``(results in chunk order, processes)``.
+
+    With more than one lane and chunk, a :class:`LanePool` of
+    ``min(lanes, len(chunks))`` processes runs the chunks.  Otherwise (``0``
+    or ``1`` lanes), or when lane processes cannot run (a warning says so),
+    :func:`run_chunks_in_process` runs the same layout here: 1 process.
+    """
+    if lanes < 0:
+        raise ValueError("lanes must be non-negative")
+    chunks = list(chunks)
+    lanes = max(1, lanes)
+    if lanes > 1 and len(chunks) > 1:
+        # Fewer chunks than lanes leaves the tail lanes unused; chunk i
+        # still lands on lane i either way, so capping changes no layout.
+        processes = min(lanes, len(chunks))
+        try:
+            return LanePool(processes, name=name).run(func, chunks, context), processes
+        except LanePoolError as error:
+            warnings.warn(
+                f"parallel execution unavailable ({error!r}); "
+                "falling back to in-process execution",
+                stacklevel=3,
+            )
+    return run_chunks_in_process(func, chunks, context, lanes), 1

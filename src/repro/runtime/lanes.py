@@ -1,13 +1,13 @@
 """Worker lanes: the managed execution substrate for online request processing.
 
-:class:`ParallelRuntime` (the sibling module) is the *offline* substrate:
-it fans a finite batch of work over a short-lived process pool and
-reassembles the results.  Online serving has the opposite shape — an
-unbounded stream of small requests that must share in-process state (the
-compiled mapping matrices, the numpy arrays a batch evaluation gathers
-from) — so its substrate is a **thread**: numpy releases the GIL inside
-the large batched operations, and everything else needs that shared
-state.
+:func:`~repro.runtime.lane_pool.run_lanes` (the sibling module) is the
+*offline* substrate: it fans a finite list of chunks over lane-pinned
+worker processes and reassembles the results.  Online serving has the
+opposite shape — an unbounded stream of small requests that must share
+in-process state (the compiled mapping matrices, the numpy arrays a
+batch evaluation gathers from) — so its substrate is a **thread**: numpy
+releases the GIL inside the large batched operations, and everything
+else needs that shared state.
 
 :class:`WorkerLane` is the managed-thread primitive the serving layer
 builds on: a daemon thread running a caller-supplied loop body until

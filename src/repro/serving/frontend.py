@@ -103,6 +103,11 @@ _UNKNOWN_INSTRUCTION = Instruction(
     "__UNKNOWN__", InstructionKind.INT_ALU, Extension.BASE
 )
 
+#: Exclusive upper bound of a JSON multiplicity.  ``json.loads`` accepts
+#: ``NaN``, ``Infinity`` and overflowing literals such as ``1e309``; the
+#: one chained comparison ``0 < value < _INF`` refuses all of them.
+_INF = float("inf")
+
 #: Binary frame magics ("PALQ"/"PALR" little-endian) and the dense-id
 #: sentinel for an unknown instruction.  The sentinel is the largest u32,
 #: so "strictly ascending dense ids per kernel" implies at most one
@@ -137,10 +142,10 @@ def _parse_blocks(compiled, payload: object) -> List[Microkernel]:
                 raise InvalidRequestError(
                     f"block {index} has a non-string mnemonic key"
                 )
-            if not isinstance(value, (int, float)) or value <= 0:
+            if not isinstance(value, (int, float)) or not 0 < value < _INF:
                 raise InvalidRequestError(
                     f"block {index}, {name!r}: multiplicity must be a "
-                    f"positive number, got {value!r}"
+                    f"finite positive number, got {value!r}"
                 )
             # A mnemonic this mapping has never seen is simply unsupported;
             # its weight is all that matters (Microkernel sums duplicate

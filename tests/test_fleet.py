@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import warnings
 
 import pytest
 
@@ -61,6 +62,25 @@ class TestFleetRunner:
         for seq, par in zip(outcomes, parallel):
             assert par.machine_fingerprint == seq.machine_fingerprint
             assert par.stats.deterministic_dict() == seq.stats.deterministic_dict()
+
+    def test_nested_lanes_match_sequential(self, sequential_outcomes, tmp_path):
+        # Fleet lanes start measurement and LPAUX lanes of their own, which
+        # only works because lane processes are not daemonic.
+        outcomes, root = sequential_outcomes
+        config = dataclasses.replace(fleet_config(), parallelism=2, lp_parallelism=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nested = FleetRunner(
+                str(tmp_path / "fleet-nested"), config, workers=2
+            ).characterize(SPECS)
+        sequential = ArtifactRegistry(root)
+        parallel = ArtifactRegistry(tmp_path / "fleet-nested")
+        for seq, par in zip(outcomes, nested, strict=True):
+            assert par.machine_fingerprint == seq.machine_fingerprint
+            assert (
+                parallel.load(par.machine_fingerprint).mapping.to_dict()
+                == sequential.load(seq.machine_fingerprint).mapping.to_dict()
+            )
 
     def test_resubmitted_fleet_resumes_from_checkpoints(self, sequential_outcomes):
         outcomes, root = sequential_outcomes

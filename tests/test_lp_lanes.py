@@ -3,12 +3,17 @@
 :class:`repro.runtime.LanePool` and its in-process emulation
 :func:`repro.runtime.run_chunks_in_process` must be interchangeable: same
 lane-pinned chunk layout, same lane-local state lifecycle, same results.
-The complete-mapping engine relies on that equivalence for its determinism
-contract (solver counters identical between degraded and multi-process
-runs), so the tests here compare the two paths directly.
+Every offline fan-out relies on that equivalence through
+:func:`repro.runtime.run_lanes`, and the complete-mapping engine's
+determinism contract (solver counters identical between degraded and
+multi-process runs) rests on it, so the tests here compare the two paths
+directly.
 """
 
 from __future__ import annotations
+
+import threading
+import warnings
 
 import pytest
 
@@ -17,6 +22,8 @@ from repro.runtime import (
     LanePoolError,
     lane_state,
     run_chunks_in_process,
+    run_lanes,
+    split_chunks,
 )
 
 
@@ -108,3 +115,41 @@ class TestLanePool:
         pool.run(_square_chunk, [[1]], "ctx")
         pool.close()
         pool.close()
+
+
+class TestSplitChunks:
+    def test_one_contiguous_chunk_per_lane_or_fixed_size(self):
+        items = list(range(7))
+        assert split_chunks(items, 3) == [[0, 1, 2], [3, 4, 5], [6]]
+        assert split_chunks(items, 3, chunk_size=2) == [[0, 1], [2, 3], [4, 5], [6]]
+        assert split_chunks(items, 0) == [items]
+        assert split_chunks([], 4) == []
+
+
+class TestRunLanes:
+    def test_lane_processes_run_the_emulated_layout(self):
+        assert run_lanes(_square_chunk, CHUNKS, "ctx", 2, "test-lane") == (EXPECTED, 2)
+
+    def test_zero_or_one_lane_runs_in_process(self):
+        for lanes in (0, 1):
+            results, processes = run_lanes(_square_chunk, CHUNKS, "ctx", lanes, "t")
+            assert processes == 1
+            assert results == run_chunks_in_process(_square_chunk, CHUNKS, "ctx", 1)
+
+    def test_unpicklable_context_falls_back_in_process(self):
+        context = threading.Lock()  # cannot be pickled to a lane process
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results, processes = run_lanes(
+                _square_chunk, CHUNKS, context, 2, "test-lane"
+            )
+        fallbacks = [
+            w for w in caught if "parallel execution unavailable" in str(w.message)
+        ]
+        assert len(fallbacks) == 1
+        assert processes == 1
+        assert results == run_chunks_in_process(_square_chunk, CHUNKS, context, 2)
+
+    def test_negative_lane_count_rejected(self):
+        with pytest.raises(ValueError):
+            run_lanes(_square_chunk, CHUNKS, None, -1, "test-lane")

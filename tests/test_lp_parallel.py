@@ -11,6 +11,7 @@ equality), not tolerances.
 from __future__ import annotations
 
 import dataclasses
+import os
 
 import pytest
 
@@ -21,7 +22,6 @@ from repro.palmed.benchmarks import BenchmarkRunner
 from repro.palmed.complete_mapping import run_complete_mapping
 from repro.palmed.core_mapping import compute_core_mapping
 from repro.palmed.quadratic import QuadraticBenchmarks
-from repro.runtime import ParallelRuntime
 
 LP_WORKER_COUNTS = (0, 1, 2, 4)
 
@@ -66,8 +66,7 @@ class TestCompleteMappingDifferential:
             runner,
             instructions,
             core,
-            config,
-            runtime=ParallelRuntime(workers=workers),
+            dataclasses.replace(config, lp_parallelism=workers),
         )
         assert outcome.mapped == serial_outcome.mapped
 
@@ -78,8 +77,7 @@ class TestCompleteMappingDifferential:
             runner,
             instructions,
             core,
-            config,
-            runtime=ParallelRuntime(workers=2, chunk_size=chunk_size),
+            dataclasses.replace(config, lp_parallelism=2, lp_chunk_size=chunk_size),
         )
         assert outcome.mapped == serial_outcome.mapped
 
@@ -151,26 +149,17 @@ class TestChunkedExecutionDifferential:
         assert chunked.mapped == serial_outcome.mapped
         assert chunked.solver_stats.solves == serial_outcome.solver_stats.solves
 
-    def test_real_lanes_and_emulation_agree_exactly(self, lpaux_setup):
+    def test_real_lanes_and_emulation_agree_exactly(self, lpaux_setup, monkeypatch):
         _, config, runner, instructions, core = lpaux_setup
-        # An explicit runtime runs real lane processes even on a one-core
-        # host (explicit demand skips the host-sizing degradation) ...
-        real = run_complete_mapping(
-            runner,
-            instructions,
-            core,
-            config,
-            runtime=ParallelRuntime(workers=4, chunk_size=2),
-        )
-        # ... while the config path may degrade to the in-process
-        # emulation of the *same* requested layout.  Both paths must agree
-        # on the mapping and on every deterministic counter.
-        emulated = run_complete_mapping(
-            runner,
-            instructions,
-            core,
-            dataclasses.replace(config, lp_parallelism=4, lp_chunk_size=2),
-        )
+        lanes_config = dataclasses.replace(config, lp_parallelism=4, lp_chunk_size=2)
+        # Real lane processes wherever this process may use two CPUs ...
+        real = run_complete_mapping(runner, instructions, core, lanes_config)
+        # ... and the in-process emulation of the *same* requested layout
+        # once the process is pinned to one CPU.  Both paths must agree on
+        # the mapping and on every deterministic counter.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        emulated = run_complete_mapping(runner, instructions, core, lanes_config)
+        assert emulated.solver_stats.lp_workers_effective == 1
         assert real.mapped == emulated.mapped
         for name in ("model_builds", "solves", "warm_start_hits", "rebinds", "lp_chunks"):
             assert getattr(real.solver_stats, name) == getattr(
@@ -179,6 +168,23 @@ class TestChunkedExecutionDifferential:
         assert real.solver_stats.lp_chunks > 1
         assert real.solver_stats.lp_workers_requested == 4
         assert emulated.solver_stats.lp_workers_requested == 4
+
+    def test_single_cpu_affinity_solves_in_process(self, lpaux_setup, monkeypatch):
+        # Host sizing counts the CPUs this process may run on, not every
+        # CPU of the host: pinned to one CPU, two requested lanes run as
+        # the in-process emulation of the same two-lane layout.
+        _, config, runner, instructions, core = lpaux_setup
+        lanes_config = dataclasses.replace(config, lp_parallelism=2)
+        unpinned = run_complete_mapping(runner, instructions, core, lanes_config)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        pinned = run_complete_mapping(runner, instructions, core, lanes_config)
+        assert pinned.solver_stats.lp_workers_requested == 2
+        assert pinned.solver_stats.lp_workers_effective == 1
+        assert pinned.mapped == unpinned.mapped
+        for name in ("model_builds", "solves", "warm_start_hits", "rebinds", "lp_chunks"):
+            assert getattr(pinned.solver_stats, name) == getattr(
+                unpinned.solver_stats, name
+            ), name
 
     def test_chunked_counters_repeatable(self, lpaux_setup):
         _, config, runner, instructions, core = lpaux_setup

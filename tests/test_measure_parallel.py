@@ -83,22 +83,13 @@ class TestMeasureBatch:
 
 
 class TestParallelDispatcher:
-    """Worker count and chunking never change results or their order."""
+    """Worker count never changes results or their order."""
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_all_worker_counts_bitwise_identical(self, toy_machine, workers):
         kernels = _random_kernels(toy_machine, count=30)
         reference = PortModelBackend(toy_machine).measure_batch(kernels)
         dispatched = ParallelDispatcher(workers=workers).measure(
-            PortModelBackend(toy_machine), kernels
-        )
-        assert dispatched == reference
-
-    @pytest.mark.parametrize("chunk_size", [1, 3, 1000])
-    def test_chunk_size_does_not_matter(self, toy_machine, chunk_size):
-        kernels = _random_kernels(toy_machine, count=20)
-        reference = PortModelBackend(toy_machine).measure_batch(kernels)
-        dispatched = ParallelDispatcher(workers=2, chunk_size=chunk_size).measure(
             PortModelBackend(toy_machine), kernels
         )
         assert dispatched == reference
@@ -119,7 +110,7 @@ class TestParallelDispatcher:
     @pytest.mark.parametrize("workers", [0, 2])
     def test_measure_propagates_unknown_instruction(self, toy_machine, workers):
         # A backend error inside a worker must re-raise in the caller with
-        # its original type — never be misread as "pool unavailable" and
+        # its original type — never be misread as "lanes unavailable" and
         # silently retried on the sequential path.
         alien = Instruction("ALIEN_OP", InstructionKind.INT_ALU, Extension.BASE)
         with pytest.raises(KeyError):
@@ -128,10 +119,10 @@ class TestParallelDispatcher:
             )
 
     def test_measure_propagates_backend_oserror(self, toy_machine):
-        # OSError is also what a broken process pool raises, but one raised
+        # OSError is also what a broken lane pipe raises, but one raised
         # by the backend is the measurement's own failure: it must reach
-        # the caller without the "pool unavailable" fallback re-running the
-        # batch in-process.
+        # the caller without the "lanes unavailable" fallback re-running
+        # the batch in-process.
         kernels = _random_kernels(toy_machine, count=8)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -156,8 +147,6 @@ class TestParallelDispatcher:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             ParallelDispatcher(workers=-1)
-        with pytest.raises(ValueError):
-            ParallelDispatcher(workers=2, chunk_size=0)
 
 
 class TestRunnerBatchPath:

@@ -726,6 +726,23 @@ class TestStdioFrontend:
         assert not responses[3]["ok"]
         assert responses[3]["error"]["type"] == "InvalidRequestError"
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e309"])
+    def test_non_finite_multiplicity_refused(
+        self, serving_registry, toy_machine, literal
+    ):
+        # json.loads accepts these literals (1e309 overflows to inf); the
+        # JSON wire must refuse them as the binary wire does, not drop the
+        # entry or answer with a non-JSON NaN.
+        first, second = toy_machine.benchmarkable_instructions()[:2]
+        line = (
+            f'{{"id": 1, "machine": "{toy_machine.name}", '
+            f'"blocks": [{{"{first.name}": 1.0, "{second.name}": {literal}}}]}}'
+        )
+        with PredictionService(serving_registry) as service:
+            (response,) = self._roundtrip(service, [line])
+        assert not response["ok"]
+        assert response["error"]["type"] == "InvalidRequestError"
+
     def test_unknown_mnemonic_degrades_like_paper_protocol(
         self, serving_registry, toy_machine
     ):
