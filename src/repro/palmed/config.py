@@ -55,9 +55,10 @@ class PalmedConfig:
         Solver used for the per-instruction complete-mapping problems
         (``"exact"`` by default: they are small, and the exact solver avoids
         the local optima the alternating heuristic can fall into).
-    lp1_time_limit / lp1_mip_gap:
-        Time limit (seconds) and relative MIP gap for the LP1 shape ILP;
-        the incumbent solution is used when the limit is hit.
+    lp1_time_limit:
+        Safety ceiling (seconds) on the LP1 shape ILP, which is otherwise
+        solved to proven optimality; the incumbent solution is used when
+        the ceiling is hit.
     cluster_tolerance:
         Relative tolerance of the hierarchical clustering used to build
         equivalence classes of instructions.
@@ -142,7 +143,6 @@ class PalmedConfig:
     lp2_heuristic_rounds: int = 8
     lpaux_mode: str = "exact"
     lp1_time_limit: float = 30.0
-    lp1_mip_gap: float = 0.02
     cluster_tolerance: float = 0.05
     quantize_coefficients: bool = False
     separate_extensions: bool = True

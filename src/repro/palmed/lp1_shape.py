@@ -7,7 +7,12 @@ computed.  It is an integer linear program over binary usage indicators
 
 * every very-basic instruction owns at least one resource that no other
   very-basic instruction uses (it was selected as pairwise disjoint from
-  them);
+  them).  These private resources are pairwise distinct and resources are
+  interchangeable, so the model pins them: very-basic instruction ``i``
+  owns column ``i`` (fixed bounds, no selector binaries), and the
+  symmetry-breaking rows order only the remaining columns.  Any feasible
+  shape can be permuted into that layout at the same cost, so pinning
+  changes neither feasibility nor the optimum;
 * every greedy instruction shares at least one resource with *all* the
   instructions it is not disjoint from (the ``><`` relation);
 * for every measured microkernel, each *saturating* instruction (one whose
@@ -17,14 +22,13 @@ computed.  It is an integer linear program over binary usage indicators
 * the number of resources used is minimized (with a secondary objective
   minimizing the number of edges).
 
-"Exists a resource such that …" constraints are encoded with auxiliary
-binary selector variables and big-M implications (the big-M is always the
-number of terms involved, so the relaxation stays tight).
+The other "exists a resource such that …" constraints are encoded with
+auxiliary binary selector variables and big-M implications (the big-M is
+always the number of terms involved, so the relaxation stays tight).
 
 The ILP is assembled through the sparse :class:`repro.solvers.ModelBuilder`
-(COO triplets, one compilation per solve); the shape problem is solved a
-handful of times per run, but it is by far the *largest* model in the
-pipeline.
+(COO triplets, one compilation per solve) and solved to proven optimality
+(zero MIP gap); ``lp1_time_limit`` is only a safety ceiling.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from repro.isa.instruction import Instruction
 from repro.mapping.microkernel import Microkernel
 from repro.palmed.basic_selection import BasicSelectionResult
 from repro.palmed.config import PalmedConfig
-from repro.solvers import ModelBuilder
+from repro.solvers import InfeasibleError, ModelBuilder
 
 
 @dataclass(frozen=True)
@@ -107,13 +111,32 @@ def solve_shape(
     greedy = [inst for inst in selection.greedy if inst in basic_set]
     num_resources = config.max_resources
     resources = range(num_resources)
+    pinned = len(very_basic)
+    if pinned > num_resources:
+        raise InfeasibleError(
+            f"LP1 needs {pinned} private resources for the very-basic "
+            f"instructions but max_resources is {num_resources}"
+        )
 
+    # Very basic instructions: at least one resource unused by the other
+    # very basic instructions (Algorithm 3, line 4).  A resource private to
+    # one of them is unused by the others, so the private resources are
+    # |very_basic| distinct columns.  Resources are interchangeable: any
+    # feasible shape permutes into one where very-basic instruction ``i``
+    # owns column ``i``, the other used columns follow in decreasing
+    # lexicographic order and the unused ones come last, at the same
+    # objective.  So those columns are fixed by their bounds (no selectors)
+    # and the optimum value is unchanged.
+    private = {inst: i for i, inst in enumerate(very_basic)}
     builder = ModelBuilder("lp1-shape")
-    rho = {
-        (inst, r): builder.add_binary()
-        for inst in basic
-        for r in resources
-    }
+    rho = {}
+    for inst in basic:
+        for r in resources:
+            if r < pinned and inst in private:
+                value = 1.0 if private[inst] == r else 0.0
+                rho[(inst, r)] = builder.add_variable(value, value, integer=True)
+            else:
+                rho[(inst, r)] = builder.add_binary()
     used = {r: builder.add_binary() for r in resources}
 
     def require_any(selectors: Sequence[int]) -> None:
@@ -122,14 +145,16 @@ def solve_shape(
 
     # A resource is "used" as soon as any instruction maps to it; symmetry is
     # broken by forcing used resources to occupy the lowest indices and by
-    # ordering resource columns lexicographically (interpreting each column
-    # as a binary number over the basic instructions), which removes the
-    # factorial blow-up of permuting identical resources.
+    # ordering the unpinned resource columns lexicographically (interpreting
+    # each column as a binary number over the basic instructions), which
+    # removes the factorial blow-up of permuting identical resources.
     for r in resources:
         for inst in basic:
             builder.add_row_entries([rho[(inst, r)], used[r]], [1.0, -1.0], hi=0.0)
     for r in range(num_resources - 1):
         builder.add_row_entries([used[r + 1], used[r]], [1.0, -1.0], hi=0.0)
+        if r < pinned:
+            continue
         row = builder.add_row(hi=0.0)
         for i, inst in enumerate(basic):
             builder.add_entry(row, rho[(inst, r + 1)], float(2 ** i))
@@ -138,19 +163,6 @@ def solve_shape(
     # Every basic instruction uses at least one resource.
     for inst in basic:
         require_any([rho[(inst, r)] for r in resources])
-
-    # Very basic instructions: at least one resource unused by the other
-    # very basic instructions (Algorithm 3, line 4).
-    for inst in very_basic:
-        others = [other for other in very_basic if other != inst]
-        selectors = []
-        for r in resources:
-            selector = builder.add_binary()
-            selectors.append(selector)
-            builder.add_row_entries([selector, rho[(inst, r)]], [1.0, -1.0], hi=0.0)
-            for other in others:
-                builder.add_row_entries([selector, rho[(other, r)]], [1.0, 1.0], hi=1.0)
-        require_any(selectors)
 
     # Greedy instructions: at least one resource shared with every
     # non-disjoint basic instruction (Algorithm 3, line 5).
@@ -220,7 +232,7 @@ def solve_shape(
     builder.set_objective(objective, maximize=False)
 
     solution = builder.build().solve(
-        time_limit=config.lp1_time_limit, mip_rel_gap=config.lp1_mip_gap
+        time_limit=config.lp1_time_limit, mip_rel_gap=0.0
     )
 
     active_resources = [r for r in resources if solution.x[used[r]] > 0.5]

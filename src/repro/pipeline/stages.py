@@ -299,7 +299,6 @@ class CoreMappingStage(Stage):
         "max_resources",
         "lp1_max_iterations",
         "lp1_time_limit",
-        "lp1_mip_gap",
         "lp2_mode",
         "lp2_exact_max_kernels",
         "lp2_heuristic_rounds",

@@ -78,6 +78,7 @@ import json
 import socket
 import socketserver
 import struct
+import sys
 import threading
 from typing import Dict, List, Optional, TextIO, Tuple
 
@@ -103,10 +104,12 @@ _UNKNOWN_INSTRUCTION = Instruction(
     "__UNKNOWN__", InstructionKind.INT_ALU, Extension.BASE
 )
 
-#: Exclusive upper bound of a JSON multiplicity.  ``json.loads`` accepts
-#: ``NaN``, ``Infinity`` and overflowing literals such as ``1e309``; the
-#: one chained comparison ``0 < value < _INF`` refuses all of them.
-_INF = float("inf")
+#: Inclusive upper bound of a JSON multiplicity.  ``json.loads`` accepts
+#: ``NaN``, ``Infinity``, overflowing literals such as ``1e309`` and
+#: integers too large for ``float()``; the one chained comparison
+#: ``0 < value <= _MAX_FLOAT`` refuses all of them (int/float comparison
+#: is exact, so it never overflows).
+_MAX_FLOAT = sys.float_info.max
 
 #: Binary frame magics ("PALQ"/"PALR" little-endian) and the dense-id
 #: sentinel for an unknown instruction.  The sentinel is the largest u32,
@@ -142,7 +145,9 @@ def _parse_blocks(compiled, payload: object) -> List[Microkernel]:
                 raise InvalidRequestError(
                     f"block {index} has a non-string mnemonic key"
                 )
-            if not isinstance(value, (int, float)) or not 0 < value < _INF:
+            # ``type`` rather than ``isinstance``: JSON ``true`` is a bool,
+            # which is an int subclass and not a multiplicity.
+            if type(value) not in (int, float) or not 0 < value <= _MAX_FLOAT:
                 raise InvalidRequestError(
                     f"block {index}, {name!r}: multiplicity must be a "
                     f"finite positive number, got {value!r}"

@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro import Microkernel, PortModelBackend, build_toy_machine
+from repro import (
+    Microkernel,
+    PortModelBackend,
+    build_skylake_like_machine,
+    build_small_isa,
+    build_toy_machine,
+)
 from repro.isa import Extension, Instruction, InstructionKind
 from repro.machines.toy import TOY_INSTRUCTIONS
 from repro.palmed import PalmedConfig
@@ -21,7 +29,11 @@ from repro.palmed.clustering import (
     hierarchical_clusters,
     relative_distance,
 )
-from repro.palmed.core_mapping import compute_core_mapping, resource_label
+from repro.palmed.core_mapping import (
+    _seed_observations,
+    compute_core_mapping,
+    resource_label,
+)
 from repro.palmed.lp1_shape import KernelObservation, saturating_instructions, solve_shape
 from repro.palmed.lp2_weights import (
     WeightProblem,
@@ -30,6 +42,7 @@ from repro.palmed.lp2_weights import (
     solve_weights_heuristic,
 )
 from repro.palmed.quadratic import QuadraticBenchmarks
+from repro.solvers import InfeasibleError, SolveStats, use_stats
 
 
 @pytest.fixture(scope="module")
@@ -303,3 +316,55 @@ class TestLp1AndLp2:
         observation = KernelObservation(kernel=kernel, ipc=toy_runner.ipc(kernel))
         usage = kernel_resource_usage(observation, 0, {addss: {0: 0.5}}, {})
         assert usage == pytest.approx(1.0)
+
+
+def _shape_inputs(machine, config):
+    """LP1's inputs, built as the core stage builds them."""
+    runner = BenchmarkRunner(PortModelBackend(machine), config)
+    quadratic = QuadraticBenchmarks(runner, machine.benchmarkable_instructions())
+    selection = select_basic_instructions(quadratic, config)
+    runner.prefetch(Microkernel.single(inst) for inst in selection.basic)
+    single_ipc = {inst: runner.ipc_single(inst) for inst in selection.basic}
+    return _seed_observations(runner, selection), selection, single_ipc
+
+
+class TestLp1Exact:
+    """LP1 pins the very-basic private resources and proves its optimum."""
+
+    def _solve(self, machine, config):
+        observations, selection, single_ipc = _shape_inputs(machine, config)
+        stats = SolveStats()
+        with use_stats(stats):
+            shape = solve_shape(observations, selection, single_ipc, config)
+        return shape, selection, stats
+
+    def _assert_exact(self, shape, selection, stats, resources, edges):
+        assert shape.num_resources == resources
+        assert sum(len(used) for used in shape.edges.values()) == edges
+        assert stats.limit_solves == 0
+        assert stats.worst_mip_gap == 0.0
+        for i, inst in enumerate(selection.very_basic):
+            assert i in shape.edges[inst], inst.name
+            users = [other for other in selection.very_basic if i in shape.edges[other]]
+            assert users == [inst]
+
+    def test_toy_shape_is_optimal_and_pinned(self):
+        config = PalmedConfig().for_fast_tests()
+        shape, selection, stats = self._solve(build_toy_machine(), config)
+        # A 2% gap stops at 17 edges here, and LP2 then takes 7x longer.
+        self._assert_exact(shape, selection, stats, resources=5, edges=13)
+
+    def test_skylake_like_shape_is_optimal_and_pinned(self):
+        machine = build_skylake_like_machine(isa=build_small_isa(32, seed=1))
+        config = PalmedConfig(n_basic_cap=6, max_resources=10, lp1_max_iterations=1)
+        shape, selection, stats = self._solve(machine, config)
+        self._assert_exact(shape, selection, stats, resources=6, edges=11)
+
+    def test_too_few_resources_for_very_basic_raises_before_solving(self):
+        config = dataclasses.replace(PalmedConfig().for_fast_tests(), max_resources=2)
+        observations, selection, single_ipc = _shape_inputs(build_toy_machine(), config)
+        assert len(selection.very_basic) == 3
+        stats = SolveStats()
+        with use_stats(stats), pytest.raises(InfeasibleError):
+            solve_shape(observations, selection, single_ipc, config)
+        assert stats.solves == 0

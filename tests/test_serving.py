@@ -726,13 +726,24 @@ class TestStdioFrontend:
         assert not responses[3]["ok"]
         assert responses[3]["error"]["type"] == "InvalidRequestError"
 
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e309"])
+    @pytest.mark.parametrize(
+        "literal",
+        [
+            "NaN",
+            "Infinity",
+            "-Infinity",
+            "1e309",
+            "true",
+            pytest.param("1" + "0" * 400, id="401-digit-integer"),
+        ],
+    )
     def test_non_finite_multiplicity_refused(
         self, serving_registry, toy_machine, literal
     ):
-        # json.loads accepts these literals (1e309 overflows to inf); the
-        # JSON wire must refuse them as the binary wire does, not drop the
-        # entry or answer with a non-JSON NaN.
+        # json.loads accepts these literals (1e309 overflows to inf, true
+        # is a bool, a 401-digit integer does not fit a float); the JSON
+        # wire must refuse them as the binary wire does, not drop the
+        # entry, count true as 1 or answer with a non-JSON NaN.
         first, second = toy_machine.benchmarkable_instructions()[:2]
         line = (
             f'{{"id": 1, "machine": "{toy_machine.name}", '
