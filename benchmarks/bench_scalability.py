@@ -109,7 +109,6 @@ SPEEDUP_CONFIG = PalmedConfig(
     lp1_max_iterations=1,
     lp1_time_limit=10.0,
     lp2_mode="heuristic",
-    lpaux_mode="heuristic",
     milp_time_limit=20.0,
 )
 
@@ -188,7 +187,7 @@ def test_pipeline_cache_speedup(tmp_path, kind):
 
 
 def test_lpaux_cost_is_per_instruction_constant(benchmark, skl_palmed, skl_backend):
-    """The complete-mapping phase costs O(1) LPs per instruction (linear overall)."""
+    """The complete-mapping phase costs O(1) work per instruction (linear overall)."""
     from repro.palmed.complete_mapping import map_single_instruction
     from repro.palmed.benchmarks import BenchmarkRunner
 

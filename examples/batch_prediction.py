@@ -42,15 +42,16 @@ def main() -> None:
           f"{result.stats.num_resources} resources")
 
     # 2. Persist the mapping, keyed by the machine's content fingerprint.
-    registry_dir = tempfile.mkdtemp(prefix="palmed-artifacts-")
-    registry = ArtifactRegistry(registry_dir)
-    path = registry.save(MappingArtifact.from_result(result, machine))
-    print(f"artifact saved to {path}")
+    #    The registry lives in a temporary directory removed on exit.
+    with tempfile.TemporaryDirectory(prefix="palmed-artifacts-") as registry_dir:
+        registry = ArtifactRegistry(registry_dir)
+        path = registry.save(MappingArtifact.from_result(result, machine))
+        print(f"artifact saved to {path}")
 
-    # 3. Reload as a fresh process would: a new registry handle, lookup by
-    #    the machine's *current* fingerprint.  A changed machine model would
-    #    change the fingerprint and refuse the stale artifact.
-    artifact = ArtifactRegistry(registry_dir).load_for_machine(machine)
+        # 3. Reload as a fresh process would: a new registry handle, lookup
+        #    by the machine's *current* fingerprint.  A changed machine
+        #    model would change the fingerprint and refuse the stale artifact.
+        artifact = ArtifactRegistry(registry_dir).load_for_machine(machine)
     predictor = PalmedPredictor(artifact.mapping)
     print(f"loaded mapping for {artifact.machine_name} "
           f"(fingerprint {artifact.machine_fingerprint[:16]}…)")

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
+import numpy as np
+
 
 def rms_error(
     predicted: Sequence[float],
@@ -48,12 +50,25 @@ def rms_error(
     return math.sqrt(accumulator)
 
 
+#: Values closer than this relative distance tie in :func:`kendall_tau`.
+_TIE_TOLERANCE = 1e-9
+
+
+def _ties(value: float, others: np.ndarray) -> np.ndarray:
+    """Which of ``others`` tie with ``value`` within :data:`_TIE_TOLERANCE`."""
+    scale = np.maximum(abs(value), np.abs(others))
+    return np.abs(value - others) <= _TIE_TOLERANCE * scale
+
+
 def kendall_tau(predicted: Sequence[float], native: Sequence[float]) -> float:
     """Kendall's τ-b rank correlation between two sequences.
 
     τ-b corrects for ties in either sequence, which matters here because
     many basic blocks saturate the front-end and share the same native IPC.
-    Returns a value in [-1, 1]; 0 when either sequence is constant.
+    Two values tie when ``|a − b| ≤ 1e-9 · max(|a|, |b|)``: predictions
+    that are equal in exact arithmetic can differ in the last ulp, and
+    such a pair carries no ordering.  Returns a value in [-1, 1]; 0 when
+    either sequence is constant.
     """
     if len(predicted) != len(native):
         raise ValueError("sequences must have the same length")
@@ -61,25 +76,21 @@ def kendall_tau(predicted: Sequence[float], native: Sequence[float]) -> float:
     if size < 2:
         raise ValueError("Kendall's tau needs at least two samples")
 
+    x = np.asarray(predicted, dtype=float)
+    y = np.asarray(native, dtype=float)
     concordant = 0
     discordant = 0
     ties_left = 0
     ties_right = 0
-    for i in range(size):
-        for j in range(i + 1, size):
-            dx = predicted[i] - predicted[j]
-            dy = native[i] - native[j]
-            if dx == 0 and dy == 0:
-                ties_left += 1
-                ties_right += 1
-            elif dx == 0:
-                ties_left += 1
-            elif dy == 0:
-                ties_right += 1
-            elif (dx > 0) == (dy > 0):
-                concordant += 1
-            else:
-                discordant += 1
+    for i in range(size - 1):
+        tie_x = _ties(x[i], x[i + 1 :])
+        tie_y = _ties(y[i], y[i + 1 :])
+        ordered = ~(tie_x | tie_y)
+        agree = (x[i] > x[i + 1 :]) == (y[i] > y[i + 1 :])
+        ties_left += int(tie_x.sum())
+        ties_right += int(tie_y.sum())
+        concordant += int((ordered & agree).sum())
+        discordant += int((ordered & ~agree).sum())
 
     total = size * (size - 1) // 2
     denom_left = total - ties_left

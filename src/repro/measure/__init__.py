@@ -17,7 +17,7 @@ the exact inferred mapping — of the sequential scalar path:
   backend content hashes.
 
 Measurement is *not* the only parallel path: the per-instruction LPAUX
-weight solves fan out over the very same lanes (see
+closed-form solves fan out over the very same lanes (see
 ``PalmedConfig.lp_parallelism`` and :mod:`repro.palmed.complete_mapping`).
 See ``docs/architecture.md`` for the layering, and
 ``tests/test_measure_parallel.py`` for the differential guarantees.

@@ -51,10 +51,6 @@ class PalmedConfig:
         Threshold used by ``"auto"``.
     lp2_heuristic_rounds:
         Maximum number of alternating rounds of the heuristic BWP solver.
-    lpaux_mode:
-        Solver used for the per-instruction complete-mapping problems
-        (``"exact"`` by default: they are small, and the exact solver avoids
-        the local optima the alternating heuristic can fall into).
     lp1_time_limit:
         Safety ceiling (seconds) on the LP1 shape ILP, which is otherwise
         solved to proven optimality; the incumbent solution is used when
@@ -91,16 +87,17 @@ class PalmedConfig:
         Number of lane processes used to fan the independent
         per-instruction LPAUX weight problems of the complete-mapping phase
         over :func:`repro.runtime.run_lanes`.  ``0`` or ``1`` solves them
-        in-process, as does a process allowed on one CPU (the solves are
-        CPU-bound).  The inferred mapping is bitwise identical for every
-        setting (see ``tests/test_lp_parallel.py``).
+        in-process, as does a process allowed on one CPU.  Each problem is
+        solved in closed form in well under a millisecond, so lanes mostly
+        pay their process start-up.  The inferred mapping is bitwise
+        identical for every setting (see ``tests/test_lp_parallel.py``).
     lp_chunk_size:
         Number of LPAUX instructions per solve chunk of the batched
         complete-mapping engine.  ``None`` (the default) auto-sizes one
         chunk per requested worker lane.  Chunk layout is planned from
         the *requested* parallelism, never from host sizing or
-        scheduling, so mappings and deterministic solver counters are
-        identical for every value and on every host.  Like
+        scheduling, so mappings and the chunk count are identical for
+        every value and on every host.  Like
         ``lp_parallelism``, this is an execution knob: it is not part of
         any stage's declared config fields, so changing it never
         invalidates stage checkpoints (a resumed run keeps the counters
@@ -141,7 +138,6 @@ class PalmedConfig:
     lp2_mode: str = "auto"
     lp2_exact_max_kernels: int = 400
     lp2_heuristic_rounds: int = 8
-    lpaux_mode: str = "exact"
     lp1_time_limit: float = 30.0
     cluster_tolerance: float = 0.05
     quantize_coefficients: bool = False
@@ -171,8 +167,6 @@ class PalmedConfig:
             raise ValueError("epsilon must be in (0, 1)")
         if self.lp2_mode not in ("exact", "heuristic", "auto"):
             raise ValueError("lp2_mode must be 'exact', 'heuristic' or 'auto'")
-        if self.lpaux_mode not in ("exact", "heuristic"):
-            raise ValueError("lpaux_mode must be 'exact' or 'heuristic'")
         if self.max_resources < 2:
             raise ValueError("max_resources must be at least 2")
         if self.m_repeat < 2 or self.l_repeat < 1:

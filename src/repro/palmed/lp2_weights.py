@@ -21,22 +21,22 @@ solvers are provided:
   and repeats until the assignment stabilizes.  This is the default for
   large kernel sets (the role Gurobi's scale plays in the original tool).
 
-The same routine serves LP2 (all basic-instruction weights free) and LPAUX
-(core weights frozen, a single instruction free, possibly unbounded above
-for low-IPC instructions), which only differ by their inputs.
+LP2 solves it with every basic-instruction weight free.  The same MILP,
+with one instruction free, the core frozen and soft capacities, is LPAUX's
+per-instruction problem; LPAUX solves it in closed form
+(:func:`repro.palmed.complete_mapping.solve_frozen_core_weights`) and the
+tests use :func:`solve_weights_exact` as its reference.
 
 Sparse incremental construction
 -------------------------------
 Models are built through :class:`repro.solvers.ModelBuilder` (COO triplets)
-and compiled once per *structure* into a
-:class:`repro.solvers.ModelTemplate`: the sparsity pattern of a BWP depends
-only on which free instructions appear in which kernels and which edges are
-admissible, while every number in it — usage coefficients, frozen-core
-constants, capacity bounds, ρ upper bounds — is rebindable data.  The
-alternating heuristic therefore re-solves one template across its rounds,
-and :class:`WeightModelCache` lets LPAUX's thousands of identically-shaped
-per-instruction problems rebind data instead of rebuilding structure (see
-``model_builds`` vs ``solves`` in :func:`repro.solvers.solver_stats`).
+and compiled into a :class:`repro.solvers.ModelTemplate`: the sparsity
+pattern of a BWP depends only on which free instructions appear in which
+kernels and which edges are admissible, while every number in it — usage
+coefficients, frozen-core constants, capacity bounds, ρ upper bounds — is
+rebindable data.  The alternating heuristic therefore re-solves one
+template across its rounds (see ``model_builds`` vs ``solves`` in
+:func:`repro.solvers.solver_stats`).
 """
 
 from __future__ import annotations
@@ -102,11 +102,7 @@ def kernel_resource_usage(
     return total * observation.ipc / observation.kernel.size
 
 
-def solve_weights(
-    problem: WeightProblem,
-    config: PalmedConfig,
-    cache: Optional["WeightModelCache"] = None,
-) -> WeightSolution:
+def solve_weights(problem: WeightProblem, config: PalmedConfig) -> WeightSolution:
     """Solve the BWP with the solver selected by the configuration."""
     mode = config.lp2_mode
     if mode == "auto":
@@ -116,8 +112,8 @@ def solve_weights(
             else "heuristic"
         )
     if mode == "exact":
-        return solve_weights_exact(problem, config, cache)
-    return solve_weights_heuristic(problem, config, cache)
+        return solve_weights_exact(problem, config)
+    return solve_weights_heuristic(problem, config)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +129,7 @@ def _free_order(problem: WeightProblem) -> List[Instruction]:
 
 
 def _structure_signature(problem: WeightProblem, mode: str) -> tuple:
-    """Hashable key of everything that shapes the model (not its numbers).
+    """Everything that shapes the model (not its numbers).
 
     Two problems with equal signatures compile to the same sparsity
     pattern, variable kinds and row layout; all remaining differences
@@ -342,60 +338,6 @@ class _BwpTemplate:
         return rho
 
 
-class WeightModelCache:
-    """Reusable BWP templates keyed by problem structure.
-
-    LPAUX solves one constant-shape problem per instruction; within one
-    cache, problems sharing a :func:`_structure_signature` rebind data into
-    the same compiled :class:`ModelTemplate` instead of rebuilding it.
-    The cache is cheap enough to keep per worker lane — the batched
-    complete-mapping phase keeps one per lane across all of that lane's
-    chunks.  With ``warm_start=True`` every template it compiles also
-    memoizes solved incumbents (see :class:`repro.solvers.ModelTemplate`),
-    so instructions in the same behavioral equivalence class — whose bound
-    problems are byte-identical — collapse to a single backend solve.
-    """
-
-    def __init__(self, warm_start: bool = False) -> None:
-        self.warm_start = warm_start
-        self._templates: Dict[tuple, _BwpTemplate] = {}
-
-    def template_for(self, problem: WeightProblem, mode: str) -> _BwpTemplate:
-        signature = _structure_signature(problem, mode)
-        template = self._templates.get(signature)
-        if template is None:
-            mode_, num_resources, edges, present = signature
-            template = _BwpTemplate(
-                mode_, num_resources, edges, present, warm_start=self.warm_start
-            )
-            self._templates[signature] = template
-        return template
-
-    @property
-    def num_templates(self) -> int:
-        return len(self._templates)
-
-    @property
-    def num_solves(self) -> int:
-        return sum(t.template.solve_count for t in self._templates.values())
-
-    @property
-    def num_warm_hits(self) -> int:
-        return sum(t.template.warm_start_hits for t in self._templates.values())
-
-
-def _template_for(
-    problem: WeightProblem,
-    mode: str,
-    cache: Optional[WeightModelCache],
-    warm_start: bool = False,
-) -> _BwpTemplate:
-    if cache is not None:
-        return cache.template_for(problem, mode)
-    mode_, num_resources, edges, present = _structure_signature(problem, mode)
-    return _BwpTemplate(mode_, num_resources, edges, present, warm_start=warm_start)
-
-
 def _finalize(
     problem: WeightProblem,
     rho: Dict[Instruction, Dict[int, float]],
@@ -413,14 +355,11 @@ def _finalize(
 # Exact MILP
 # ---------------------------------------------------------------------------
 
-def solve_weights_exact(
-    problem: WeightProblem,
-    config: PalmedConfig,
-    cache: Optional[WeightModelCache] = None,
-) -> WeightSolution:
+def solve_weights_exact(problem: WeightProblem, config: PalmedConfig) -> WeightSolution:
     """Exact BWP: per-kernel binaries select the saturated resource."""
-    bwp = _template_for(
-        problem, "exact", cache, warm_start=getattr(config, "lp_warm_start", False)
+    bwp = _BwpTemplate(
+        *_structure_signature(problem, "exact"),
+        warm_start=getattr(config, "lp_warm_start", False),
     )
     bwp.bind(problem)
     solution = bwp.template.solve(time_limit=config.milp_time_limit)
@@ -436,11 +375,7 @@ def solve_weights_exact(
 # Alternating heuristic
 # ---------------------------------------------------------------------------
 
-def solve_weights_heuristic(
-    problem: WeightProblem,
-    config: PalmedConfig,
-    cache: Optional[WeightModelCache] = None,
-) -> WeightSolution:
+def solve_weights_heuristic(problem: WeightProblem, config: PalmedConfig) -> WeightSolution:
     """Alternating argmax / LP refinement of the BWP.
 
     Starting from the resource with the largest *potential* usage for every
@@ -469,8 +404,9 @@ def solve_weights_heuristic(
         best = max(range(num_resources), key=lambda r: potential_usage(observation, r))
         assignment.append(best)
 
-    bwp = _template_for(
-        problem, "heuristic", cache, warm_start=getattr(config, "lp_warm_start", False)
+    bwp = _BwpTemplate(
+        *_structure_signature(problem, "heuristic"),
+        warm_start=getattr(config, "lp_warm_start", False),
     )
     data = bwp.bind(problem)
 

@@ -408,15 +408,12 @@ class CompleteMappingStage(Stage):
         "include_singleton_in_lpaux",
         "separate_extensions",
         "quantize_coefficients",
-        "lpaux_mode",
-        "lp2_heuristic_rounds",
         "edge_threshold",
-        "milp_time_limit",
     )
-    # Execution knobs (lp_parallelism, lp_chunk_size, lp_warm_start) are
-    # deliberately absent: they change how the solves are *scheduled*, never
-    # which mapping comes out, so flipping them must not invalidate an
-    # existing checkpoint of this stage.
+    # Execution knobs (lp_parallelism, lp_chunk_size) are deliberately
+    # absent: they change how the solves are *scheduled*, never which
+    # mapping comes out, so flipping them must not invalidate an existing
+    # checkpoint of this stage.
 
     def run(self, context: StageContext, inputs: Dict[str, object]) -> CompleteMappingOutcome:
         quadratic: QuadraticOutcome = inputs["quadratic"]

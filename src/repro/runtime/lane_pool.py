@@ -62,9 +62,8 @@ _LANE_STATE: Dict = {}
 def lane_state() -> Dict:
     """Scratch dictionary private to the executing lane.
 
-    Chunk functions use it to keep expensive lane-local structures (model
-    template caches, warm-start memos) alive across the chunks of one
-    lane.  The lifecycle contract is identical on every execution path:
+    Chunk functions use it to keep expensive lane-local structures
+    (caches, memos) alive across the chunks of one lane.  The lifecycle contract is identical on every execution path:
     fresh at the start of a run, persistent across that lane's chunks, and
     never shared between lanes.
     """

@@ -3,12 +3,12 @@
 PALMED's reference implementation relies on PuLP/Gurobi.  This package
 provides an equivalent, self-contained layer backed by
 :func:`scipy.optimize.milp` (the HiGHS solver), which handles both pure
-LPs and MILPs.  Every model — LP1, LP2 and LPAUX alike — is built the
+LPs and MILPs.  Every model — LP1 and LP2 alike — is built the
 same way: :class:`ModelBuilder` appends variables, rows and COO
 triplets, and :meth:`ModelBuilder.build` compiles them once into a
 :class:`ModelTemplate` whose data (coefficients, bounds, objective) can
-be rebound between solves.  Thousands of identically-shaped problems
-therefore rebind data instead of rebuilding structure.  Every solve goes
+be rebound between solves, so identically-shaped problems rebind data
+instead of rebuilding structure.  Every solve goes
 through the one gateway :func:`solve_milp_arrays`.
 
 Public API

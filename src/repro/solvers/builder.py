@@ -1,8 +1,7 @@
 """Sparse incremental model construction and reusable solve templates.
 
-Every PALMED linear program — LP1's shape ILP, LP2's and LPAUX's weight
-problems — is built with this module.  LPAUX solves *thousands* of
-identically-shaped weight problems and the heuristic BWP re-solves the
+Every PALMED linear program — LP1's shape ILP and LP2's weight
+problems — is built with this module.  The heuristic BWP re-solves the
 same structure once per round, so construction appends flat COO triplets
 and one compiled structure serves many solves by rebinding its data:
 
@@ -15,13 +14,12 @@ and one compiled structure serves many solves by rebinding its data:
     is frozen; its *data* (matrix coefficients, row bounds, variable
     bounds, objective coefficients) can be rebound between solves through
     the entry handles returned at construction time.  Rebinding data and
-    re-solving is how LP2's heuristic rounds and LPAUX's per-instruction
-    problems reuse one structure across many solves.  With
+    re-solving is how LP2's heuristic rounds reuse one structure across
+    many solves.  With
     ``warm_start=True`` the template additionally memoizes the optimal
     incumbent of every solved data binding: a later rebind whose data
-    matches a previous problem bit-for-bit (common when LPAUX walks an
-    equivalence class of behaviorally identical instructions, or when a
-    heuristic round revisits an assignment) is answered from the memo
+    matches a previous problem bit-for-bit (as when a heuristic round
+    revisits an assignment) is answered from the memo
     without invoking the backend.  The determinism contract is strict:
     because the memo key covers every byte of the bound data and the
     solve options, a hit returns exactly the solution a cold solve of

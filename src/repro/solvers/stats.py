@@ -25,11 +25,10 @@ backend-invocation count is always ``solves - warm_start_hits``
 Recording is sink-based: all instrumentation records into the *active*
 sink, which defaults to a process-global record (read it with
 :func:`solver_stats`, clear it with :func:`reset_solver_stats`).  A scope
-that wants its own attribution — one LPAUX instruction solved inside a
-worker process, the core-mapping stage of a pipeline run — redirects
-recording with :func:`use_stats` and merges the local record wherever it
-needs to go (:func:`record_stats`); the LPAUX fan-out uses exactly this to
-ship worker-side stats back to the parent process.
+that wants its own attribution — the core-mapping stage of a pipeline
+run — redirects recording with :func:`use_stats` and merges the local
+record wherever it needs to go (:func:`record_stats`); the LPAUX fan-out,
+which calls no solver, records its chunk layout the same way.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ class SolveStats:
         without invoking the backend.  Merged additively.
     rebinds / rebind_time:
         Template data rebinds (one full :meth:`bind` or incremental
-        :meth:`bind_assignment` of an LP2/LPAUX weight template counts as
+        :meth:`bind_assignment` of an LP2 weight template counts as
         one) and the seconds they took.  Together with ``solve_time``
         this is the per-worker rebind-vs-solve split of the batched
         engine.  Merged additively.

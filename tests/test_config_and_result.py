@@ -29,8 +29,9 @@ class TestConfigValidation:
     def test_lp2_mode_validation(self):
         with pytest.raises(ValueError):
             PalmedConfig(lp2_mode="magic")
-        with pytest.raises(ValueError):
-            PalmedConfig(lpaux_mode="magic")
+        # LPAUX has one exact closed-form solver and no mode to choose.
+        with pytest.raises(TypeError):
+            PalmedConfig(lpaux_mode="exact")
 
     def test_max_resources_validation(self):
         with pytest.raises(ValueError):

@@ -80,9 +80,60 @@ class TestKendallTau:
     def test_constant_sequence_returns_zero(self):
         assert kendall_tau([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) == 0.0
 
+    def test_one_ulp_differences_are_ties(self):
+        # Predictions equal in exact arithmetic can come out one ulp apart;
+        # nudging them must not invent orderings.
+        predicted = [1.0, 1.0, 2.0, 2.0, 3.0, 0.5]
+        native = [1.1, 0.9, 2.5, 1.5, 3.0, 0.4]
+        nudged = [
+            math.nextafter(value, math.inf if index % 2 else -math.inf)
+            for index, value in enumerate(predicted)
+        ]
+        assert nudged != predicted
+        assert kendall_tau(nudged, native) == kendall_tau(predicted, native)
+
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             kendall_tau([1.0], [1.0])
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.5, 1.0, 1.0 + 2**-52, 2.0, 3.25]),
+                st.sampled_from([0.0, 1.0, 2.0, 2.0 - 2**-51, 4.0]),
+            ),
+            min_size=2,
+            max_size=20,
+        )
+    )
+    def test_matches_pairwise_loop(self, pairs):
+        # The vectorized rows count exactly what a pairwise loop counts.
+        def tied(a, b):
+            return abs(a - b) <= 1e-9 * max(abs(a), abs(b))
+
+        predicted = [p for p, _ in pairs]
+        native = [n for _, n in pairs]
+        concordant = discordant = ties_left = ties_right = 0
+        for i in range(len(pairs)):
+            for j in range(i + 1, len(pairs)):
+                tie_x = tied(predicted[i], predicted[j])
+                tie_y = tied(native[i], native[j])
+                ties_left += tie_x
+                ties_right += tie_y
+                if not (tie_x or tie_y):
+                    if (predicted[i] > predicted[j]) == (native[i] > native[j]):
+                        concordant += 1
+                    else:
+                        discordant += 1
+        total = len(pairs) * (len(pairs) - 1) // 2
+        if total == ties_left or total == ties_right:
+            expected = 0.0
+        else:
+            expected = (concordant - discordant) / math.sqrt(
+                (total - ties_left) * (total - ties_right)
+            )
+        assert kendall_tau(predicted, native) == expected
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=2, max_size=15))

@@ -16,16 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.isa.instruction import Extension, Instruction, InstructionKind
-from repro.palmed import PalmedConfig
-from repro.palmed.lp1_shape import KernelObservation
-from repro.palmed.lp2_weights import (
-    WeightModelCache,
-    WeightProblem,
-    solve_weights_exact,
-    solve_weights_heuristic,
-)
-from repro.mapping.microkernel import Microkernel
 from repro.solvers import (
     InfeasibleError,
     ModelBuilder,
@@ -317,80 +307,6 @@ class TestSolveStats:
         assert merged.template_reuses == 4
         # The originals are untouched (merge works on the copy).
         assert a.worst_mip_gap == 0.25 and b.lp_chunks == 1
-
-
-def _weight_problem(seed_ipc: float, num_resources: int = 3) -> WeightProblem:
-    """An LPAUX-shaped problem: one free instruction, frozen core, K kernels."""
-    free = Instruction("FREE", InstructionKind.INT_ALU, Extension.BASE)
-    frozen = Instruction("CORE", InstructionKind.FP_ADD, Extension.BASE)
-    observations = [
-        KernelObservation(kernel=Microkernel.single(free), ipc=seed_ipc),
-        KernelObservation(
-            kernel=Microkernel({free: 1.0, frozen: 4.0}), ipc=seed_ipc + 0.5
-        ),
-    ]
-    return WeightProblem(
-        observations=observations,
-        num_resources=num_resources,
-        free_edges={free: set(range(num_resources))},
-        frozen_rho={frozen: {0: 0.9, 1: 0.2}},
-        rho_upper_bound=None,
-        soft_capacity=True,
-    )
-
-
-class TestWeightModelCache:
-    @pytest.mark.parametrize("solver", [solve_weights_exact, solve_weights_heuristic])
-    def test_cached_solutions_bitwise_equal_fresh(self, solver):
-        config = PalmedConfig()
-        cache = WeightModelCache()
-        for index in range(4):
-            problem = _weight_problem(1.0 + 0.2 * index)
-            cached = solver(problem, config, cache)
-            fresh = solver(problem, config, None)
-            assert cached.rho == fresh.rho
-            assert cached.total_error == fresh.total_error
-        # Four identically-shaped problems share one compiled template.
-        assert cache.num_templates == 1
-        assert cache.num_solves >= 4
-
-    def test_template_reuse_visible_in_stats(self):
-        config = PalmedConfig()
-        cache = WeightModelCache()
-        stats = SolveStats()
-        with use_stats(stats):
-            for index in range(5):
-                solve_weights_exact(_weight_problem(1.0 + 0.1 * index), config, cache)
-        assert stats.solves == 5
-        assert stats.model_builds == 1
-        assert stats.model_builds < stats.solves
-
-    def test_different_shapes_get_different_templates(self):
-        config = PalmedConfig()
-        cache = WeightModelCache()
-        solve_weights_exact(_weight_problem(1.0, num_resources=3), config, cache)
-        solve_weights_exact(_weight_problem(1.0, num_resources=4), config, cache)
-        assert cache.num_templates == 2
-
-    def test_warm_start_cache_bitwise_equal_and_counted(self):
-        # A byte-identical repeat solve is answered from the incumbent
-        # memo, counted as a request plus a hit, and equals a fresh solve
-        # bitwise.
-        config = PalmedConfig()
-        warm = WeightModelCache(warm_start=True)
-        problem = _weight_problem(1.0)
-        stats = SolveStats()
-        with use_stats(stats):
-            first = solve_weights_exact(problem, config, warm)
-            second = solve_weights_exact(problem, config, warm)
-        fresh = solve_weights_exact(problem, config, None)
-        assert first.rho == second.rho == fresh.rho
-        assert first.total_error == second.total_error == fresh.total_error
-        assert warm.num_warm_hits == 1
-        assert stats.solves == 2
-        assert stats.warm_start_hits == 1
-        assert stats.backend_solves == 1
-        assert stats.rebinds == 2  # every request still rebinds its data
 
 
 class TestStatusMapping:
