@@ -13,6 +13,8 @@ import sys
 from repro.cli.common import (
     add_machine_arguments,
     build_machine_from_args,
+    non_negative_int,
+    positive_int,
     write_json,
 )
 from repro.machines import available_machines
@@ -22,31 +24,9 @@ def add_characterize_arguments(parser: argparse.ArgumentParser) -> None:
     """The characterization flags shared by the legacy CLI and ``characterize``."""
     parser.add_argument(
         "--parallelism",
-        type=int,
+        type=non_negative_int,
         default=0,
         help="measurement worker processes (0 = in-process, the default)",
-    )
-    parser.add_argument(
-        "--lp-parallelism",
-        type=int,
-        default=0,
-        help="LPAUX solver worker processes (0 = in-process, the default)",
-    )
-    parser.add_argument(
-        "--lp-chunk-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="instructions per LPAUX solve chunk (default: auto-size so "
-        "every solver lane gets one chunk); an execution knob — it never "
-        "changes the mapping or invalidates stage checkpoints",
-    )
-    parser.add_argument(
-        "--lp-warm-start",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="seed LP solves from memoized incumbents of identical earlier "
-        "models (default: on; results are bitwise-identical either way)",
     )
     parser.add_argument(
         "--cache",
@@ -131,9 +111,6 @@ def run_characterize(args: argparse.Namespace) -> int:
     config = dataclasses.replace(
         config,
         parallelism=args.parallelism,
-        lp_parallelism=args.lp_parallelism,
-        lp_chunk_size=args.lp_chunk_size,
-        lp_warm_start=args.lp_warm_start,
         cache_path=args.cache,
         telemetry=getattr(args, "telemetry", None),
     )
@@ -264,7 +241,7 @@ def register(subparsers) -> None:
     )
     fleet.add_argument(
         "--isa-size",
-        type=int,
+        type=positive_int,
         default=48,
         help="synthetic ISA size for the non-toy machines (default: 48)",
     )
@@ -273,7 +250,7 @@ def register(subparsers) -> None:
     )
     fleet.add_argument(
         "--workers",
-        type=int,
+        type=non_negative_int,
         default=0,
         help="machine-level worker processes (0 = sequential, the default)",
     )

@@ -9,6 +9,26 @@ from typing import Optional
 from repro.machines import available_machines
 
 
+def _int_at_least(minimum: int, text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+    return value
+
+
+def non_negative_int(text: str) -> int:
+    """``argparse`` type: an integer ``>= 0`` (else a usage error, exit 2)."""
+    return _int_at_least(0, text)
+
+
+def positive_int(text: str) -> int:
+    """``argparse`` type: an integer ``>= 1`` (else a usage error, exit 2)."""
+    return _int_at_least(1, text)
+
+
 def add_machine_arguments(parser: argparse.ArgumentParser) -> None:
     """The machine-selection flags shared by every subcommand."""
     parser.add_argument(
@@ -19,7 +39,7 @@ def add_machine_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--isa-size",
-        type=int,
+        type=positive_int,
         default=48,
         help="synthetic ISA size for the non-toy machines (default: 48)",
     )
@@ -38,7 +58,7 @@ def add_suite_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--blocks",
-        type=int,
+        type=positive_int,
         default=200,
         help="number of basic blocks for the spec-like suite (default: 200)",
     )

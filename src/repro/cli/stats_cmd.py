@@ -8,8 +8,8 @@ The read side of :mod:`repro.telemetry`: point it at the sqlite file a
   characterize runs (the paper's Table II attribution, as a query);
 * ``... stats --db palmed.sqlite serving`` — occupancy-weighted serving
   latency percentiles (p50/p95/p99) and flush occupancy per run;
-* ``... stats --db palmed.sqlite solver`` — solver volume and
-  warm-start hit rates;
+* ``... stats --db palmed.sqlite solver`` — solver volume (solves,
+  model builds, LP time) per run;
 * ``... stats --db palmed.sqlite cluster`` — failover / retry /
   sync-failure counts;
 * ``... stats --db palmed.sqlite bench [--like PAT]`` — the committed

@@ -11,14 +11,11 @@ the exact inferred mapping — of the sequential scalar path:
   model, noise parameters), so model or seed changes invalidate cleanly.
 * :class:`ParallelDispatcher` — a thin measurement-specific client of
   :func:`repro.runtime.run_lanes` (the lane-pinned fan-out also used by
-  the LPAUX solver phase and the fleet runner), adding only the backend
-  semantics; ``workers <= 1`` measures in-process.
+  the fleet runner), adding only the backend semantics; ``workers <= 1``
+  measures in-process.
 * :mod:`repro.measure.fingerprint` — canonical kernel keys and machine /
   backend content hashes.
 
-Measurement is *not* the only parallel path: the per-instruction LPAUX
-closed-form solves fan out over the very same lanes (see
-``PalmedConfig.lp_parallelism`` and :mod:`repro.palmed.complete_mapping`).
 See ``docs/architecture.md`` for the layering, and
 ``tests/test_measure_parallel.py`` for the differential guarantees.
 """

@@ -4,10 +4,10 @@ On real hardware, microbenchmarks for one machine can be distributed over
 identical cores (or identical machines) because every measurement is
 independent; the paper's quadratic benchmarking stage is embarrassingly
 parallel.  :class:`ParallelDispatcher` reproduces that execution model on
-:func:`repro.runtime.run_lanes`, the fan-out the LPAUX solves and fleet
-runs share: a batch of kernels is split into one contiguous chunk per
-lane, each lane process measures its chunk on its own copy of the
-backend, and the results are reassembled **in input order**, so the
+:func:`repro.runtime.run_lanes`, the lane-pinned fan-out fleet runs also
+use: a batch of kernels is split into one contiguous chunk per lane,
+each lane process measures its chunk on its own copy of the backend,
+and the results are reassembled **in input order**, so the
 caller observes exactly the sequence of values a sequential run would
 have produced.  This module only contributes the measurement semantics:
 how a chunk of kernels is turned into IPC values on a backend, and which
@@ -95,7 +95,7 @@ class ParallelDispatcher:
         with TRACER.span(
             "measure.batch", kernels=len(kernels), workers=self.workers, **span
         ):
-            results, _ = run_lanes(
+            results = run_lanes(
                 func, chunks, backend, self.workers, name="measure-lane"
             )
         return [value for chunk in results for value in chunk]

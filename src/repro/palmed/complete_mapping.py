@@ -25,35 +25,27 @@ is the reference the tests compare against.
 
 Execution model
 ---------------
-The phase splits into a *measurement* half and a *solving* half, and both
-are batched:
+The phase splits into a *measurement* half and a *solving* half:
 
 * every saturating benchmark and singleton is prefetched in one batch
   through the measurement layer (parallel dispatch + persistent cache,
   per ``PalmedConfig.parallelism`` / ``cache_path``);
-* the per-instruction weight problems are grouped into contiguous
-  *chunks* (``lp_chunk_size``, auto-sized to one chunk per requested
-  lane) and executed through the shared offline fan-out,
-  :func:`repro.runtime.run_lanes`: chunk ``i`` is pinned to worker lane
-  ``i % lp_parallelism``.  A host that cannot run lane processes, or a
-  process allowed on a single CPU, executes the *identical* lane-pinned
-  layout in-process (:func:`repro.runtime.run_chunks_in_process`).
+* the per-instruction weight problems are then solved one after the
+  other, in instruction-name order, in the calling process.  Each takes
+  well under a millisecond, less than a worker process costs to start.
 
-Both halves are bitwise-deterministic: the closed form depends on the
-problem's data only, and the chunk layout is planned from the requested
-configuration (never from host sizing or scheduling), so the inferred
-usages and the chunk count are identical for every worker count, chunk
-size and execution path (see ``tests/test_lp_parallel.py``).
-:class:`CompleteMappingOutcome` reports the measurement/solve wall clocks
-separately so the pipeline can keep the paper's Table II
-benchmarking-vs-LP-time split faithful.
+The closed form depends on the problem's data only, and the measurement
+layer returns the same values for every worker count (see
+``tests/test_measure_parallel.py``), so the inferred usages are
+bitwise-deterministic.  :class:`CompleteMappingOutcome` reports the
+measurement/solve wall clocks separately so the pipeline can keep the
+paper's Table II benchmarking-vs-LP-time split faithful.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -65,8 +57,6 @@ from repro.palmed.config import PalmedConfig
 from repro.palmed.core_mapping import CoreMappingResult
 from repro.palmed.lp1_shape import KernelObservation
 from repro.palmed.lp2_weights import _RHO_PENALTY
-from repro.runtime import run_chunks_in_process, run_lanes, split_chunks
-from repro.solvers import SolveStats, record_stats
 
 #: Vertices scored per numpy block: bounds memory for any ``max_resources``.
 _VERTEX_BLOCK = 4096
@@ -255,51 +245,19 @@ def _prefetch_lpaux_benchmarks(
     runner.prefetch(kernels)
 
 
-# ---------------------------------------------------------------------------
-# Batched lane-pinned fan-out
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _LpauxContext:
-    """Shared worker context: everything but the per-instruction data."""
-
-    num_resources: int
-    frozen_rho: Dict[Instruction, Dict[int, float]]
-    config: PalmedConfig
-
-
-def _solve_chunk(
-    context: _LpauxContext,
-    items: List[Tuple[Instruction, List[KernelObservation]]],
-) -> List[Dict[int, float]]:
-    """Solve a chunk of per-instruction weight problems (lane or in-process)."""
-    return [
-        _solve_instruction(
-            instruction,
-            observations,
-            context.num_resources,
-            context.frozen_rho,
-            context.config,
-        )
-        for instruction, observations in items
-    ]
-
-
 @dataclass
 class CompleteMappingOutcome:
     """Everything the complete-mapping phase produced.
 
     ``measurement_time`` covers the batched prefetch of the saturating
     benchmarks (benchmarking in the paper's Table II accounting);
-    ``solve_time`` is the wall clock of the per-instruction fan-out.
-    The closed form calls no solver, so ``solver_stats`` records only the
-    fan-out itself: ``lp_chunks`` and ``lp_workers_requested/effective``.
+    ``solve_time`` is the wall clock of the per-instruction solves, which
+    call no solver backend.
     """
 
     mapped: Dict[Instruction, Dict[int, float]]
     measurement_time: float = 0.0
     solve_time: float = 0.0
-    solver_stats: SolveStats = field(default_factory=SolveStats)
 
 
 def run_complete_mapping(
@@ -324,48 +282,15 @@ def run_complete_mapping(
     ]
     measurement_time = time.monotonic() - measure_start
 
-    lp_workers_requested = config.lp_parallelism
-    lp_workers_effective = lp_workers_requested
-    if hasattr(os, "sched_getaffinity"):
-        host_cpus = len(os.sched_getaffinity(0))
-    else:
-        host_cpus = os.cpu_count() or 1
-    if lp_workers_requested > 1 and host_cpus <= 1:
-        # CPU-bound solves on one usable CPU gain nothing from lanes.  The
-        # chunk plan below is lane-pinned from the *requested* count, so
-        # counters are bitwise-identical either way; only the execution
-        # strategy degrades (recorded in lp_workers_requested/effective).
-        lp_workers_effective = 1
-
-    # Planned from the *requested* lanes: ``lp_chunk_size=None`` gives one
-    # chunk per lane, since uniform LPAUX problems need no finer balance.
-    lanes = max(1, lp_workers_requested)
-    chunks = split_chunks(items, lanes, config.lp_chunk_size)
-
-    context = _LpauxContext(
-        num_resources=core.num_resources,
-        frozen_rho=core.basic_rho,
-        config=config,
-    )
     solve_start = time.monotonic()
-    if lp_workers_effective > 1:
-        chunk_results, lp_workers_effective = run_lanes(
-            _solve_chunk, chunks, context, lanes, name="lp-lane"
+    mapped = {
+        instruction: _solve_instruction(
+            instruction, observations, core.num_resources, core.basic_rho, config
         )
-    else:
-        chunk_results = run_chunks_in_process(_solve_chunk, chunks, context, lanes)
-    solve_time = time.monotonic() - solve_start
-
-    results = [rho for chunk in chunk_results for rho in chunk]
-    mapped = {instruction: rho for (instruction, _), rho in zip(items, results)}
-    stats = SolveStats()
-    stats.lp_workers_requested = lp_workers_requested
-    stats.lp_workers_effective = lp_workers_effective
-    stats.lp_chunks = len(chunks)
-    record_stats(stats)
+        for instruction, observations in items
+    }
     return CompleteMappingOutcome(
         mapped=mapped,
         measurement_time=measurement_time,
-        solve_time=solve_time,
-        solver_stats=stats,
+        solve_time=time.monotonic() - solve_start,
     )

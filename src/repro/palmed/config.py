@@ -83,34 +83,6 @@ class PalmedConfig:
         split each benchmark batch into one chunk per lane, even on one
         CPU (measurement may be latency-bound).  The inferred mapping is
         identical for every setting (see ``tests/test_measure_parallel.py``).
-    lp_parallelism:
-        Number of lane processes used to fan the independent
-        per-instruction LPAUX weight problems of the complete-mapping phase
-        over :func:`repro.runtime.run_lanes`.  ``0`` or ``1`` solves them
-        in-process, as does a process allowed on one CPU.  Each problem is
-        solved in closed form in well under a millisecond, so lanes mostly
-        pay their process start-up.  The inferred mapping is bitwise
-        identical for every setting (see ``tests/test_lp_parallel.py``).
-    lp_chunk_size:
-        Number of LPAUX instructions per solve chunk of the batched
-        complete-mapping engine.  ``None`` (the default) auto-sizes one
-        chunk per requested worker lane.  Chunk layout is planned from
-        the *requested* parallelism, never from host sizing or
-        scheduling, so mappings and the chunk count are identical for
-        every value and on every host.  Like
-        ``lp_parallelism``, this is an execution knob: it is not part of
-        any stage's declared config fields, so changing it never
-        invalidates stage checkpoints (a resumed run keeps the counters
-        of the run that produced the checkpoint).
-    lp_warm_start:
-        Enable the incumbent memo of the solver templates
-        (:class:`repro.solvers.ModelTemplate`): solve requests whose
-        bound problem matches an already-solved one bit-for-bit are
-        answered from the memo without invoking the backend.  Mappings,
-        objective values and deterministic solver counters are identical
-        with the memo on or off (``solves`` counts requests; hits are
-        additionally visible in ``warm_start_hits``).  Also an execution
-        knob, excluded from stage config hashes.
     cache_path:
         Optional path of the persistent on-disk measurement cache
         (:class:`repro.measure.MeasurementCache`).  ``None`` disables
@@ -146,19 +118,12 @@ class PalmedConfig:
     edge_threshold: float = 1e-3
     milp_time_limit: float = 120.0
     parallelism: int = 0
-    lp_parallelism: int = 0
-    lp_chunk_size: Optional[int] = None
-    lp_warm_start: bool = True
     cache_path: Optional[str] = None
     telemetry: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.parallelism < 0:
             raise ValueError("parallelism must be non-negative")
-        if self.lp_parallelism < 0:
-            raise ValueError("lp_parallelism must be non-negative")
-        if self.lp_chunk_size is not None and self.lp_chunk_size < 1:
-            raise ValueError("lp_chunk_size must be positive (or None for auto)")
         if self.n_basic is not None and self.n_basic < 2:
             raise ValueError("n_basic must be at least 2 (or None for automatic sizing)")
         if self.n_basic_cap < 2:
@@ -177,7 +142,7 @@ class PalmedConfig:
 
         The stage-graph checkpoints (:mod:`repro.pipeline`) key each stage on
         the hash of *only the fields that stage declares it reads*, so editing
-        an unrelated knob (say ``lp_parallelism``) never invalidates a stored
+        an unrelated knob (say ``parallelism``) never invalidates a stored
         benchmarking checkpoint.  ``fields=None`` hashes every field.
 
         Values are serialized with ``repr`` (floats round-trip exactly) and

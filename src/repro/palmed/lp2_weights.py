@@ -169,7 +169,6 @@ class _BwpTemplate:
         num_resources: int,
         edges: Tuple[Tuple[int, ...], ...],
         present: Tuple[Tuple[int, ...], ...],
-        warm_start: bool = False,
     ) -> None:
         self.mode = mode
         self.num_resources = num_resources
@@ -244,7 +243,7 @@ class _BwpTemplate:
         for s_col in self.s_cols:
             objective[s_col] = 1.0
         builder.set_objective(objective, maximize=True)
-        self.template: ModelTemplate = builder.build(warm_start=warm_start)
+        self.template: ModelTemplate = builder.build()
 
     # -- binding -------------------------------------------------------------
     def bind(self, problem: WeightProblem) -> _BoundData:
@@ -357,10 +356,7 @@ def _finalize(
 
 def solve_weights_exact(problem: WeightProblem, config: PalmedConfig) -> WeightSolution:
     """Exact BWP: per-kernel binaries select the saturated resource."""
-    bwp = _BwpTemplate(
-        *_structure_signature(problem, "exact"),
-        warm_start=getattr(config, "lp_warm_start", False),
-    )
+    bwp = _BwpTemplate(*_structure_signature(problem, "exact"))
     bwp.bind(problem)
     solution = bwp.template.solve(time_limit=config.milp_time_limit)
 
@@ -404,10 +400,7 @@ def solve_weights_heuristic(problem: WeightProblem, config: PalmedConfig) -> Wei
         best = max(range(num_resources), key=lambda r: potential_usage(observation, r))
         assignment.append(best)
 
-    bwp = _BwpTemplate(
-        *_structure_signature(problem, "heuristic"),
-        warm_start=getattr(config, "lp_warm_start", False),
-    )
+    bwp = _BwpTemplate(*_structure_signature(problem, "heuristic"))
     data = bwp.bind(problem)
 
     best_result: Optional[WeightSolution] = None

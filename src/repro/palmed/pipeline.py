@@ -17,11 +17,11 @@ and zero LP solves (see ``tests/test_resume.py``).
 
 All wall-clock accounting uses a monotonic clock; ``benchmarking_time``
 vs ``lp_time`` keeps the paper's Table II split (LPAUX *measurements* are
-benchmarking, not LP solving).  Both halves of the pipeline parallelize
-over the shared lane-pinned fan-out, :func:`repro.runtime.run_lanes`
-(``PalmedConfig.parallelism`` / ``lp_parallelism``), and
-``PalmedConfig.cache_path`` persists raw measurements across runs —
-neither knob affects inferred mappings or checkpoint validity.
+benchmarking, not LP solving).  Measurement batches parallelize over the
+lane-pinned fan-out, :func:`repro.runtime.run_lanes`
+(``PalmedConfig.parallelism``), and ``PalmedConfig.cache_path`` persists
+raw measurements across runs — neither knob affects inferred mappings or
+checkpoint validity.
 """
 
 from __future__ import annotations
@@ -162,12 +162,10 @@ class Palmed:
 
             if TRACER.enabled:
                 # End-of-run summary metrics mirroring the deterministic
-                # solver counters, so warm-hit rates are queryable
+                # solver counters, so solver volume is queryable
                 # (``repro stats solver``) next to the traced spans.
                 TRACER.metric("solver.solves", stats.lp_solves)
-                TRACER.metric("solver.warm_start_hits", stats.lp_warm_start_hits)
                 TRACER.metric("solver.model_builds", stats.lp_model_builds)
-                TRACER.metric("solver.chunks", stats.lp_chunks)
                 TRACER.metric("solver.lp_time_s", stats.lp_time)
                 TRACER.metric(
                     "pipeline.benchmarking_time_s", stats.benchmarking_time

@@ -31,19 +31,11 @@ class PalmedStats:
     solves ran, how many model structures were built (template reuse shows
     as builds < solves) and how solver time splits between building and
     solving models.  ``lp_build_time``/``lp_solve_time``/``lp_rebind_time``
-    are *aggregated across workers* (per-solve seconds summed,
-    CPU-time-like): with ``lp_parallelism > 1`` they can legitimately
-    exceed the ``lp_time`` wall clock.
-
-    The batched solver engine adds its own attribution:
-    ``lp_warm_start_hits`` (solve requests answered from a template's
-    incumbent memo — ``lp_solves`` counts them too, so the request count
-    is warm/cold independent), ``lp_rebinds`` (template data rebinds) and
-    ``lp_chunks`` (LPAUX solve chunks executed).  All three are
-    deterministic functions of the configuration.  ``lp_limit_solves``
-    (backend solves stopped at a time/gap limit) and ``lp_worst_mip_gap``
-    (largest reported relative MIP gap) depend on machine speed, so they
-    are run-local like the wall clocks.
+    sum the per-model seconds of those LPs.  ``lp_rebinds`` (template data
+    rebinds) is a deterministic function of the configuration.
+    ``lp_limit_solves`` (backend solves stopped at a time/gap limit) and
+    ``lp_worst_mip_gap`` (largest reported relative MIP gap) depend on
+    machine speed, so they are run-local like the wall clocks.
 
     Stage-graph accounting (:mod:`repro.pipeline`): ``stage_wall_clock``
     holds the per-stage wall clock — for a stage served from a checkpoint,
@@ -73,9 +65,7 @@ class PalmedStats:
     num_benchmarks_cached: int = 0
     lp_solves: int = 0
     lp_model_builds: int = 0
-    lp_warm_start_hits: int = 0
     lp_rebinds: int = 0
-    lp_chunks: int = 0
     lp_limit_solves: int = 0
     lp_worst_mip_gap: float = 0.0
     lp_build_time: float = 0.0
@@ -101,6 +91,11 @@ class PalmedStats:
         "stage_wall_clock",
         "stage_checkpoint_hits",
     )
+
+    @property
+    def lp_warm_start_hits(self) -> int:
+        # Compatibility shim: perfbench/characterize.py still reads it.
+        return 0
 
     def deterministic_dict(self) -> Dict[str, object]:
         """The run-independent view: every field except wall clocks/hits.
@@ -130,10 +125,8 @@ class PalmedStats:
             ("LP solving time (s)", f"{self.lp_time:.2f}"),
             ("  LP solves", str(self.lp_solves)),
             ("  LP model builds", str(self.lp_model_builds)),
-            ("  LP warm-start hits", str(self.lp_warm_start_hits)),
-            ("  LP rebinds / chunks", f"{self.lp_rebinds} / {self.lp_chunks}"),
+            ("  LP rebinds", str(self.lp_rebinds)),
             ("  LP limit solves / worst gap", f"{self.lp_limit_solves} / {self.lp_worst_mip_gap:.4f}"),
-            # Aggregated across workers (can exceed the wall clock above).
             ("  build / rebind / solve (s, aggregated)", f"{self.lp_build_time:.2f} / {self.lp_rebind_time:.2f} / {self.lp_solve_time:.2f}"),
             ("Overall time (s)", f"{self.total_time:.2f}"),
             ("Gen. microbenchmarks", str(self.num_benchmarks)),

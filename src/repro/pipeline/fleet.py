@@ -3,8 +3,8 @@
 A production PALMED deployment characterizes a *fleet* — every machine
 model in the lab — and serves predictions from the resulting artifact
 registry.  :class:`FleetRunner` fans whole stage-graph runs out over
-:func:`repro.runtime.run_lanes` (the fan-out the measurement batches and
-the LPAUX solves use, which a fleet lane may nest): machine ``i`` runs on
+:func:`repro.runtime.run_lanes` (the fan-out the measurement batches
+use, which a fleet lane may nest): machine ``i`` runs on
 lane ``i % workers``, and each lane process runs the full checkpointed
 pipeline for its machines and saves both the per-stage checkpoints and
 the final mapping artifact into a shared registry directory.
@@ -166,7 +166,7 @@ class FleetRunner:
         # One machine per chunk: machines are coarse work items, and the
         # per-chunk overhead (one registry open) is negligible.
         chunks = [[spec] for spec in specs]
-        results, _ = run_lanes(
+        results = run_lanes(
             _characterize_chunk, chunks, context, self.workers, name="fleet-lane"
         )
         return [outcome for chunk in results for outcome in chunk]

@@ -251,32 +251,28 @@ class SelectionStage(Stage):
 def _solve_stats_to_payload(stats: SolveStats) -> Dict[str, int]:
     """The deterministic half of a solver record (counts only).
 
-    Warm-start hits, rebinds and chunk counts are deterministic functions
-    of the configuration, so they belong in the hashed payload; limit
-    outcomes and gaps are machine-speed dependent and ship with the times
-    under ``_nondeterministic`` instead.
+    Builds, solves and rebinds are deterministic functions of the
+    configuration, so they belong in the hashed payload; limit outcomes
+    and gaps are machine-speed dependent and ship with the times under
+    ``_nondeterministic`` instead.
     """
     return {
         "model_builds": stats.model_builds,
         "solves": stats.solves,
-        "warm_start_hits": stats.warm_start_hits,
         "rebinds": stats.rebinds,
-        "lp_chunks": stats.lp_chunks,
     }
 
 
 def _solve_stats_from_payload(
     counts: Dict[str, int], times: Dict[str, float]
 ) -> SolveStats:
-    # ``.get`` defaults keep checkpoints written before the batched solver
-    # engine loadable: their records simply report zero for the new
-    # counters.
+    # ``.get`` defaults keep checkpoints written before ``rebinds`` was
+    # counted loadable; counters that older records carry and no field
+    # reads any more are ignored.
     return SolveStats(
         model_builds=int(counts["model_builds"]),
         solves=int(counts["solves"]),
-        warm_start_hits=int(counts.get("warm_start_hits", 0)),
         rebinds=int(counts.get("rebinds", 0)),
-        lp_chunks=int(counts.get("lp_chunks", 0)),
         limit_solves=int(times.get("limit_solves", 0)),
         worst_mip_gap=float(times.get("worst_mip_gap", 0.0)),
         build_time=float(times.get("build_time", 0.0)),
@@ -410,8 +406,8 @@ class CompleteMappingStage(Stage):
         "quantize_coefficients",
         "edge_threshold",
     )
-    # Execution knobs (lp_parallelism, lp_chunk_size) are deliberately
-    # absent: they change how the solves are *scheduled*, never which
+    # Execution knobs (parallelism, cache_path) are deliberately absent:
+    # they change how the measurements are *obtained*, never which
     # mapping comes out, so flipping them must not invalidate an existing
     # checkpoint of this stage.
 
@@ -425,15 +421,9 @@ class CompleteMappingStage(Stage):
     def serialize(self, output: CompleteMappingOutcome) -> Dict[str, object]:
         return {
             "mapped": rho_to_payload(output.mapped),
-            "solver_counts": _solve_stats_to_payload(output.solver_stats),
             "_nondeterministic": {
                 "measurement_time": output.measurement_time,
                 "solve_time_wall": output.solve_time,
-                "build_time": output.solver_stats.build_time,
-                "solve_time": output.solver_stats.solve_time,
-                "rebind_time": output.solver_stats.rebind_time,
-                "limit_solves": output.solver_stats.limit_solves,
-                "worst_mip_gap": output.solver_stats.worst_mip_gap,
             },
         }
 
@@ -446,7 +436,6 @@ class CompleteMappingStage(Stage):
             mapped=rho_from_payload(payload["mapped"], index),
             measurement_time=float(times.get("measurement_time", 0.0)),
             solve_time=float(times.get("solve_time_wall", 0.0)),
-            solver_stats=_solve_stats_from_payload(payload["solver_counts"], times),
         )
 
     # No warm_runner override: nothing downstream of LPAUX measures, so
@@ -510,7 +499,7 @@ class FinalizeStage(Stage):
         mapping = ConjunctiveResourceMapping(resources, usage)
 
         records = context.records
-        lp_stats = core.solver_stats.copy().merge(complete.solver_stats)
+        lp_stats = core.solver_stats
         stats = PalmedStats(
             machine_name=context.machine_name,
             num_instructions_total=len(context.instructions),
@@ -539,9 +528,7 @@ class FinalizeStage(Stage):
             ),
             lp_solves=lp_stats.solves,
             lp_model_builds=lp_stats.model_builds,
-            lp_warm_start_hits=lp_stats.warm_start_hits,
             lp_rebinds=lp_stats.rebinds,
-            lp_chunks=lp_stats.lp_chunks,
             lp_limit_solves=lp_stats.limit_solves,
             lp_worst_mip_gap=lp_stats.worst_mip_gap,
             lp_build_time=lp_stats.build_time,

@@ -4,12 +4,10 @@ Two primitives, two workload shapes:
 
 * :func:`run_lanes` — the *offline* substrate: fans a finite list of
   chunks (:func:`split_chunks`) over a :class:`LanePool` of long-lived,
-  lane-pinned worker processes with persistent lane-local state
-  (:func:`lane_state`), and degrades to an exact in-process emulation
+  lane-pinned worker processes, and degrades to running them in-process
   (:func:`run_chunks_in_process`) when lane processes are unavailable.
-  Microbenchmark measurement (:mod:`repro.measure`), per-instruction
-  LPAUX solving (:mod:`repro.palmed.complete_mapping`) and fleet
-  characterization (:mod:`repro.pipeline.fleet`) all fan out through it.
+  Microbenchmark measurement (:mod:`repro.measure`) and fleet
+  characterization (:mod:`repro.pipeline.fleet`) fan out through it.
 * :class:`WorkerLane` — the *online* substrate: a managed daemon thread
   for unbounded request streams that must share in-process state.  The
   serving layer (:mod:`repro.serving`) runs its micro-batching schedulers
@@ -19,7 +17,6 @@ Two primitives, two workload shapes:
 from repro.runtime.lane_pool import (
     LanePool,
     LanePoolError,
-    lane_state,
     run_chunks_in_process,
     run_lanes,
     split_chunks,
@@ -30,7 +27,6 @@ __all__ = [
     "LanePool",
     "LanePoolError",
     "WorkerLane",
-    "lane_state",
     "run_chunks_in_process",
     "run_lanes",
     "split_chunks",

@@ -1,35 +1,27 @@
 """Lane-pinned worker processes: the one offline fan-out.
 
-Every offline fan-out in the repository — microbenchmark measurement
-batches (:mod:`repro.measure`), per-instruction LPAUX weight problems
-(:mod:`repro.palmed.complete_mapping`) and fleet characterization
-(:mod:`repro.pipeline.fleet`) — goes through :func:`run_lanes`:
+Both offline fan-outs in the repository — microbenchmark measurement
+batches (:mod:`repro.measure`) and fleet characterization
+(:mod:`repro.pipeline.fleet`) — go through :func:`run_lanes`:
 
 * **Lane pinning** — chunk ``i`` is assigned to lane ``i % lanes`` ahead
   of time; every lane executes its chunks strictly in submission order.
-  Which lane ran which chunk is planned, never scheduled, so lane-local
-  solver state (template caches, warm-start memos) and with it every
-  solver counter is deterministic.
+  Which lane ran which chunk is planned, never scheduled.
 * **Persistent lanes** — each lane of a :class:`LanePool` is one
   long-lived worker process that receives ``(func, context)`` once, then
-  only ``(chunk)`` payloads; lane-local state (:func:`lane_state`)
-  survives across all chunks of a lane, so compiled model templates are
-  built once per lane and rebound for every later chunk.  Lanes are not
-  daemonic: a fleet lane runs a whole pipeline, which may start lanes of
-  its own.
-* **Exact in-process emulation** — :func:`run_chunks_in_process` executes
-  the identical lane-pinned layout in the current process, swapping one
-  state dictionary per emulated lane around each chunk.  A chunk function
-  observes exactly the same state lifecycle on both paths, which is what
-  makes results and solver statistics bitwise-identical between a
-  degraded serial run and a real multi-process run of the same layout.
+  only ``(chunk)`` payloads.  Lanes are not daemonic: a fleet lane runs a
+  whole pipeline, which may start lanes of its own.
+* **In-process fallback** — :func:`run_chunks_in_process` executes the
+  chunks in order in the current process.  Chunk functions are pure
+  functions of ``(context, chunk)``, so both paths return the same
+  results.
 
 Failure semantics: environments that cannot spawn lane processes (or lose
 one mid-run) raise :class:`LanePoolError` from :meth:`LanePool.run`, and
-:func:`run_lanes` degrades to the emulation with a warning; exceptions
-raised by the chunk function itself come back from the lane as values and
-re-raise in the parent with their original type — even an ``OSError``
-never triggers the fallback.
+:func:`run_lanes` degrades to the in-process path with a warning;
+exceptions raised by the chunk function itself come back from the lane as
+values and re-raise in the parent with their original type — even an
+``OSError`` never triggers the fallback.
 """
 
 from __future__ import annotations
@@ -39,7 +31,7 @@ import multiprocessing
 import pickle
 import threading
 import warnings
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 #: Failures that mean "this environment cannot run lane processes": process
 #: or pipe setup errors and pickling failures of ad-hoc payloads.  A lane
@@ -53,34 +45,13 @@ class LanePoolError(RuntimeError):
     """A lane process could not be started or died mid-run."""
 
 
-#: The current lane's scratch state.  In a lane worker process this is the
-#: process-global reset by the ``init`` message; in-process emulation swaps
-#: per-lane dictionaries in and out around each chunk.
-_LANE_STATE: Dict = {}
-
-
-def lane_state() -> Dict:
-    """Scratch dictionary private to the executing lane.
-
-    Chunk functions use it to keep expensive lane-local structures
-    (caches, memos) alive across the chunks of one lane.  The lifecycle contract is identical on every execution path:
-    fresh at the start of a run, persistent across that lane's chunks, and
-    never shared between lanes.
-    """
-    return _LANE_STATE
-
-
-def split_chunks(
-    items: Sequence, lanes: int, chunk_size: Optional[int] = None
-) -> List[List]:
-    """Contiguous chunks of ``chunk_size`` items, or one chunk per lane.
+def split_chunks(items: Sequence, lanes: int) -> List[List]:
+    """One contiguous chunk per lane (``0`` or ``1`` lanes: one chunk).
 
     The layout depends on the arguments only — never on effective workers,
-    host sizing or scheduling — so lane-pinned state (and every counter
-    derived from it) evolves identically on every host and execution path.
+    host sizing or scheduling.
     """
-    if chunk_size is None:
-        chunk_size = max(1, math.ceil(len(items) / max(1, lanes)))
+    chunk_size = max(1, math.ceil(len(items) / max(1, lanes)))
     return [
         list(items[start : start + chunk_size])
         for start in range(0, len(items), chunk_size)
@@ -91,33 +62,13 @@ def run_chunks_in_process(
     func: Callable[[object, List], Sequence],
     chunks: Sequence[List],
     context: object,
-    lanes: int,
 ) -> List[List]:
-    """Execute the lane-pinned chunk layout of :class:`LanePool` in-process.
-
-    Chunk ``i`` runs under the (emulated) state of lane ``i % lanes``, in
-    index order — the exact sequence a real pool produces per lane — so
-    results *and* any state-dependent accounting are identical to
-    :meth:`LanePool.run` with the same layout.
-    """
-    global _LANE_STATE
-    if lanes < 1:
-        raise ValueError("lanes must be positive")
-    states: Dict[int, Dict] = {}
-    results: List[List] = []
-    previous = _LANE_STATE
-    try:
-        for index, items in enumerate(chunks):
-            _LANE_STATE = states.setdefault(index % lanes, {})
-            results.append(list(func(context, items)))
-    finally:
-        _LANE_STATE = previous
-    return results
+    """Execute every chunk in order in the current process."""
+    return [list(func(context, items)) for items in chunks]
 
 
 def _lane_main(conn) -> None:
     """Worker-process loop: one ``init``, then ``call`` per chunk, then ``stop``."""
-    global _LANE_STATE
     func: Optional[Callable] = None
     context: object = None
     while True:
@@ -128,7 +79,6 @@ def _lane_main(conn) -> None:
         kind = message[0]
         if kind == "init":
             func, context = message[1], message[2]
-            _LANE_STATE = {}
             conn.send(("ready", None))
         elif kind == "call":
             assert func is not None, "call before init"
@@ -147,9 +97,8 @@ class LanePool:
 
     One :meth:`run` call starts the lanes, initializes each with the
     ``(func, context)`` pair once, drives every lane's chunk sequence over
-    its pipe (one in-flight chunk per lane, so lane-local state advances
-    deterministically) and stops the lanes again.  Results come back
-    indexed by chunk, in input order.
+    its pipe (one in-flight chunk per lane) and stops the lanes again.
+    Results come back indexed by chunk, in input order.
     """
 
     def __init__(self, lanes: int, name: str = "lane") -> None:
@@ -214,9 +163,8 @@ class LanePool:
 
         Raises :class:`LanePoolError` when the environment cannot run (or
         keep) the lane processes — :func:`run_lanes` then degrades to
-        :func:`run_chunks_in_process` with the same layout.  An exception
-        raised by ``func`` inside a lane re-raises here with its original
-        type.
+        :func:`run_chunks_in_process`.  An exception raised by ``func``
+        inside a lane re-raises here with its original type.
         """
         chunks = list(chunks)
         if not chunks:
@@ -272,28 +220,28 @@ def run_lanes(
     context: object,
     lanes: int,
     name: str,
-) -> Tuple[List[List], int]:
-    """Run chunk ``i`` on lane ``i % lanes``: ``(results in chunk order, processes)``.
+) -> List[List]:
+    """Run chunk ``i`` on lane ``i % lanes``; results in chunk order.
 
     With more than one lane and chunk, a :class:`LanePool` of
     ``min(lanes, len(chunks))`` processes runs the chunks.  Otherwise (``0``
     or ``1`` lanes), or when lane processes cannot run (a warning says so),
-    :func:`run_chunks_in_process` runs the same layout here: 1 process.
+    :func:`run_chunks_in_process` runs them here.
     """
     if lanes < 0:
         raise ValueError("lanes must be non-negative")
     chunks = list(chunks)
-    lanes = max(1, lanes)
     if lanes > 1 and len(chunks) > 1:
         # Fewer chunks than lanes leaves the tail lanes unused; chunk i
         # still lands on lane i either way, so capping changes no layout.
-        processes = min(lanes, len(chunks))
         try:
-            return LanePool(processes, name=name).run(func, chunks, context), processes
+            return LanePool(min(lanes, len(chunks)), name=name).run(
+                func, chunks, context
+            )
         except LanePoolError as error:
             warnings.warn(
                 f"parallel execution unavailable ({error!r}); "
                 "falling back to in-process execution",
                 stacklevel=3,
             )
-    return run_chunks_in_process(func, chunks, context, lanes), 1
+    return run_chunks_in_process(func, chunks, context)

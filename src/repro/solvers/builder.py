@@ -15,19 +15,11 @@ and one compiled structure serves many solves by rebinding its data:
     bounds, objective coefficients) can be rebound between solves through
     the entry handles returned at construction time.  Rebinding data and
     re-solving is how LP2's heuristic rounds reuse one structure across
-    many solves.  With
-    ``warm_start=True`` the template additionally memoizes the optimal
-    incumbent of every solved data binding: a later rebind whose data
-    matches a previous problem bit-for-bit (as when a heuristic round
-    revisits an assignment) is answered from the memo
-    without invoking the backend.  The determinism contract is strict:
-    because the memo key covers every byte of the bound data and the
-    solve options, a hit returns exactly the solution a cold solve of
-    the same problem would have produced.
+    many solves.
 ``solve_milp_arrays``
     The one low-level gateway to :func:`scipy.optimize.milp`: every
-    :meth:`ModelTemplate.solve` that reaches the backend goes through it,
-    so status mapping, error translation and per-solve statistics live in
+    :meth:`ModelTemplate.solve` of a non-empty model goes through it, so
+    status mapping, error translation and per-solve statistics live in
     one place.
 
 Every structure build and every solve is accounted in
@@ -37,7 +29,6 @@ Every structure build and every solve is accounted in
 
 from __future__ import annotations
 
-import hashlib
 import math
 import time
 from dataclasses import dataclass
@@ -239,12 +230,8 @@ class ModelBuilder:
         return len(self._data)
 
     # -- compilation ---------------------------------------------------------
-    def build(self, warm_start: bool = False) -> "ModelTemplate":
-        """Compile the triplets into a reusable :class:`ModelTemplate`.
-
-        ``warm_start=True`` enables the template's incumbent memo (see
-        :class:`ModelTemplate`).
-        """
+    def build(self) -> "ModelTemplate":
+        """Compile the triplets into a reusable :class:`ModelTemplate`."""
         start = time.monotonic()
         n_vars = len(self._lb)
         n_rows = len(self._row_lo)
@@ -289,7 +276,6 @@ class ModelBuilder:
             row_lo=np.asarray(self._row_lo, dtype=float),
             row_hi=np.asarray(self._row_hi, dtype=float),
             handle_pos=handle_pos,
-            warm_start=warm_start,
         )
         solver_stats.record_build(time.monotonic() - start)
         return template
@@ -304,16 +290,6 @@ class ModelTemplate:
     rebind data and re-solve without reconstructing anything.  Parameterized
     entries may hold explicit zeros — the pattern is what is frozen, not the
     values.
-
-    With ``warm_start`` enabled, :meth:`solve` keeps an incumbent memo
-    keyed by a fingerprint of *every* rebindable byte (objective, variable
-    bounds, matrix data, row bounds) plus the solve options.  A request
-    whose bound problem matches a memoized one bit-for-bit is answered
-    from the memo — recorded as a warm-start hit, no backend call — and
-    is guaranteed to equal what a cold solve of the identical problem
-    would return.  Only proven-``OPTIMAL`` solutions are memoized:
-    limit-terminated incumbents are machine-speed dependent and never
-    reused.
     """
 
     def __init__(
@@ -330,7 +306,6 @@ class ModelTemplate:
         row_lo: np.ndarray,
         row_hi: np.ndarray,
         handle_pos: np.ndarray,
-        warm_start: bool = False,
     ) -> None:
         self.name = name
         self._c = c
@@ -345,9 +320,6 @@ class ModelTemplate:
         self._row_hi = row_hi
         self._handle_pos = handle_pos
         self._solve_count = 0
-        self.warm_start = warm_start
-        self._incumbents: Dict[bytes, TemplateSolution] = {}
-        self._warm_hits = 0
 
     # -- rebinding -----------------------------------------------------------
     def set_entry(self, handle: int, value: float) -> None:
@@ -379,36 +351,6 @@ class ModelTemplate:
         """Number of solves served by this structure so far."""
         return self._solve_count
 
-    @property
-    def warm_start_hits(self) -> int:
-        """Solve requests this template answered from its incumbent memo."""
-        return self._warm_hits
-
-    @property
-    def memo_size(self) -> int:
-        """Number of distinct problems memoized by this template."""
-        return len(self._incumbents)
-
-    # -- warm starts ---------------------------------------------------------
-    def _fingerprint(
-        self, time_limit: Optional[float], mip_rel_gap: Optional[float]
-    ) -> bytes:
-        """Digest of every rebindable byte plus the solve options.
-
-        Two bindings with equal fingerprints describe byte-identical
-        problems, so reusing the stored solution is exact by
-        construction (the backend is deterministic for identical input).
-        """
-        digest = hashlib.blake2b(digest_size=16)
-        digest.update(self._c.tobytes())
-        digest.update(self._lb.tobytes())
-        digest.update(self._ub.tobytes())
-        digest.update(self._data.tobytes())
-        digest.update(self._row_lo.tobytes())
-        digest.update(self._row_hi.tobytes())
-        digest.update(repr((time_limit, mip_rel_gap)).encode())
-        return digest.digest()
-
     # -- solving -------------------------------------------------------------
     def solve(
         self,
@@ -420,20 +362,6 @@ class ModelTemplate:
         if n == 0:
             self._solve_count += 1
             return TemplateSolution(SolveStatus.OPTIMAL, 0.0, np.zeros(0))
-        key: Optional[bytes] = None
-        if self.warm_start:
-            key = self._fingerprint(time_limit, mip_rel_gap)
-            hit = self._incumbents.get(key)
-            if hit is not None:
-                self._solve_count += 1
-                self._warm_hits += 1
-                solver_stats.record_warm_start()
-                return TemplateSolution(
-                    status=hit.status,
-                    objective=hit.objective,
-                    x=hit.x.copy(),
-                    mip_gap=hit.mip_gap,
-                )
         sign = -1.0 if self._maximize else 1.0
         matrix = None
         if self.num_rows:
@@ -459,12 +387,7 @@ class ModelTemplate:
             x[integer_mask] = np.round(x[integer_mask])
         objective = float(self._c @ x)
         self._solve_count += 1
-        solution = TemplateSolution(status=status, objective=objective, x=x, mip_gap=gap)
-        if key is not None and status is SolveStatus.OPTIMAL:
-            self._incumbents[key] = TemplateSolution(
-                status=status, objective=objective, x=x.copy(), mip_gap=gap
-            )
-        return solution
+        return TemplateSolution(status=status, objective=objective, x=x, mip_gap=gap)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

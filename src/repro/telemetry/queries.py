@@ -118,7 +118,7 @@ def serving_latency(warehouse) -> QueryResult:
 
 
 def solver_rates(warehouse) -> QueryResult:
-    """Solver volume and warm-start hit rates per run.
+    """Solver volume per run: solves, model builds and LP time.
 
     Reads the end-of-run ``solver.*`` summary metrics that
     ``Palmed.run`` emits from its deterministic counters.
@@ -126,31 +126,22 @@ def solver_rates(warehouse) -> QueryResult:
     _, rows = warehouse.query(
         """
         SELECT run_id, name, value FROM metrics
-        WHERE name IN ('solver.solves', 'solver.warm_start_hits',
-                       'solver.model_builds', 'solver.chunks',
+        WHERE name IN ('solver.solves', 'solver.model_builds',
                        'solver.lp_time_s')
         """
     )
     per_run: Dict[str, Dict[str, float]] = {}
     for run_id, name, value in rows:
         per_run.setdefault(run_id, {})[name] = value
-    columns = [
-        "run_id", "solves", "warm_start_hits", "warm_hit_rate",
-        "model_builds", "chunks", "lp_time_s",
-    ]
+    columns = ["run_id", "solves", "model_builds", "lp_time_s"]
     out: List[Tuple] = []
     for run_id in sorted(per_run):
         values = per_run[run_id]
-        solves = values.get("solver.solves", 0.0)
-        hits = values.get("solver.warm_start_hits", 0.0)
         out.append(
             (
                 run_id,
-                int(solves),
-                int(hits),
-                round(hits / solves, 4) if solves else 0.0,
+                int(values.get("solver.solves", 0.0)),
                 int(values.get("solver.model_builds", 0.0)),
-                int(values.get("solver.chunks", 0.0)),
                 round(values.get("solver.lp_time_s", 0.0), 6),
             )
         )
@@ -205,7 +196,7 @@ CANNED = {
         serving_latency,
         "serving latency percentiles (p50/p95/p99) + flush occupancy",
     ),
-    "solver": (solver_rates, "solver volume and warm-start hit rates"),
+    "solver": (solver_rates, "solver volume: solves, model builds, LP time"),
     "cluster": (cluster_events, "cluster failover/retry/sync-failure counts"),
     "bench": (bench_trajectory, "committed BENCH_*.json perf trajectory"),
 }

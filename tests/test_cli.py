@@ -17,7 +17,7 @@ class TestParser:
         args = build_parser().parse_args([])
         assert args.machine == "toy"
         assert args.parallelism == 0
-        assert args.lp_parallelism == 0
+        assert not any(name.startswith("lp_") for name in vars(args))
         assert args.cache is None
         assert args.json is None
         assert args.artifacts is None
@@ -54,6 +54,40 @@ class TestParser:
         assert args.command == "artifacts"
         assert args.fingerprint is None
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["characterize", "--parallelism", "-1", "--artifacts", "DIR"],
+            ["fleet", "--machines", "toy", "--workers", "-1", "--artifacts", "DIR"],
+            ["fleet", "--machines", "skl", "--isa-size", "0", "--artifacts", "DIR"],
+            ["characterize", "--machine", "skl", "--isa-size", "0",
+             "--artifacts", "DIR"],
+            ["predict", "--blocks", "0", "--artifacts", "DIR"],
+            ["evaluate", "--blocks", "0", "--artifacts", "DIR"],
+        ],
+        ids=["parallelism", "workers", "fleet-isa-size", "isa-size", "predict-blocks",
+             "evaluate-blocks"],
+    )
+    def test_out_of_range_counts_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_command_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "must be at least" in err
+
+    @pytest.mark.parametrize(
+        "flag", [["--lp-parallelism", "2"], ["--lp-chunk-size", "2"],
+                 ["--lp-warm-start"], ["--no-lp-warm-start"]],
+        ids=["lp-parallelism", "lp-chunk-size", "lp-warm-start", "no-lp-warm-start"],
+    )
+    def test_lpaux_fan_out_flags_refused(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_command_parser().parse_args(
+                ["characterize", *flag, "--artifacts", "DIR"]
+            )
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_main_importable_from_cli_package(self):
         """The CLI split keeps the legacy import surface intact."""
         from repro.cli import build_command_parser as from_cli
@@ -79,7 +113,8 @@ class TestMain:
         assert payload["stats"]["machine_name"]
         assert payload["stats"]["num_instructions_mapped"] > 0
         assert payload["stats"]["lp_solves"] > 0
-        assert payload["config"]["lp_parallelism"] == 0
+        assert payload["config"]["parallelism"] == 0
+        assert not any(key.startswith("lp_") for key in payload["config"])
         assert payload["mapping"]["resources"]
 
     def test_show_mapping_and_json_stdout(self, capsys):

@@ -32,6 +32,13 @@ class TestConfigValidation:
         # LPAUX has one exact closed-form solver and no mode to choose.
         with pytest.raises(TypeError):
             PalmedConfig(lpaux_mode="exact")
+        # ... and runs in-process: no LPAUX lanes, chunks or solver memo.
+        with pytest.raises(TypeError):
+            PalmedConfig(lp_parallelism=2)
+        with pytest.raises(TypeError):
+            PalmedConfig(lp_chunk_size=2)
+        with pytest.raises(TypeError):
+            PalmedConfig(lp_warm_start=False)
 
     def test_max_resources_validation(self):
         with pytest.raises(ValueError):

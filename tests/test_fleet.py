@@ -64,10 +64,10 @@ class TestFleetRunner:
             assert par.stats.deterministic_dict() == seq.stats.deterministic_dict()
 
     def test_nested_lanes_match_sequential(self, sequential_outcomes, tmp_path):
-        # Fleet lanes start measurement and LPAUX lanes of their own, which
-        # only works because lane processes are not daemonic.
+        # Fleet lanes start measurement lanes of their own, which only
+        # works because lane processes are not daemonic.
         outcomes, root = sequential_outcomes
-        config = dataclasses.replace(fleet_config(), parallelism=2, lp_parallelism=2)
+        config = dataclasses.replace(fleet_config(), parallelism=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             nested = FleetRunner(

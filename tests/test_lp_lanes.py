@@ -1,17 +1,16 @@
 """Unit tests for the lane-pinned persistent worker pool.
 
-:class:`repro.runtime.LanePool` and its in-process emulation
+:class:`repro.runtime.LanePool` and the in-process fallback
 :func:`repro.runtime.run_chunks_in_process` must be interchangeable: same
-lane-pinned chunk layout, same lane-local state lifecycle, same results.
-Every offline fan-out relies on that equivalence through
-:func:`repro.runtime.run_lanes`, and the complete-mapping engine's
-determinism contract (solver counters identical between degraded and
-multi-process runs) rests on it, so the tests here compare the two paths
-directly.
+results in chunk order.  Measurement batches and fleet runs rely on that
+equivalence through :func:`repro.runtime.run_lanes`, so the tests here
+compare the two paths directly, and check that the pool runs chunk ``i``
+on lane ``i % lanes``.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import warnings
 
@@ -20,7 +19,6 @@ import pytest
 from repro.runtime import (
     LanePool,
     LanePoolError,
-    lane_state,
     run_chunks_in_process,
     run_lanes,
     split_chunks,
@@ -28,10 +26,8 @@ from repro.runtime import (
 
 
 def _square_chunk(context, items):
-    """Returns (context, item^2, lane-local call number) per item."""
-    state = lane_state()
-    state["calls"] = state.get("calls", 0) + 1
-    return [(context, item * item, state["calls"]) for item in items]
+    """Returns (context, item^2, pid of the executing process) per item."""
+    return [(context, item * item, os.getpid()) for item in items]
 
 
 class _Boom(RuntimeError):
@@ -44,54 +40,61 @@ def _failing_chunk(context, items):
 
 CHUNKS = [[1, 2], [3], [4, 5], [6]]
 
-#: What the lane-pinned layout must produce with 2 lanes: chunks 0 and 2 on
-#: lane 0 (its first and second call), chunks 1 and 3 on lane 1.
+#: The values every path must produce, in chunk order.
 EXPECTED = [
-    [("ctx", 1, 1), ("ctx", 4, 1)],
-    [("ctx", 9, 1)],
-    [("ctx", 16, 2), ("ctx", 25, 2)],
-    [("ctx", 36, 2)],
+    [("ctx", 1), ("ctx", 4)],
+    [("ctx", 9)],
+    [("ctx", 16), ("ctx", 25)],
+    [("ctx", 36)],
 ]
 
 
+def _values(results):
+    return [[(context, square) for context, square, _ in chunk] for chunk in results]
+
+
+def _pids(results):
+    """The executing pid of each chunk (every item of a chunk shares it)."""
+    pids = []
+    for chunk in results:
+        assert len({pid for _, _, pid in chunk}) == 1
+        pids.append(chunk[0][2])
+    return pids
+
+
 class TestInProcessEmulation:
-    def test_lane_pinned_layout_and_state(self):
-        assert run_chunks_in_process(_square_chunk, CHUNKS, "ctx", lanes=2) == EXPECTED
-
     def test_single_lane_sees_every_chunk(self):
-        results = run_chunks_in_process(_square_chunk, CHUNKS, "ctx", lanes=1)
-        # One emulated lane: the call counter runs through all four chunks.
-        assert [chunk[0][2] for chunk in results] == [1, 2, 3, 4]
+        calls = []
 
-    def test_state_fresh_per_run(self):
-        first = run_chunks_in_process(_square_chunk, [[2]], "ctx", lanes=1)
-        second = run_chunks_in_process(_square_chunk, [[2]], "ctx", lanes=1)
-        assert first == second == [[("ctx", 4, 1)]]
+        def record(context, items):
+            calls.append(list(items))
+            return _square_chunk(context, items)
 
-    def test_outer_state_restored_even_on_error(self):
-        outer = lane_state()
-        outer["marker"] = "outer"
-        with pytest.raises(_Boom):
-            run_chunks_in_process(_failing_chunk, [[1]], None, lanes=1)
-        assert lane_state() is outer
-        assert lane_state()["marker"] == "outer"
-        del outer["marker"]
-
-    def test_invalid_lane_count_rejected(self):
-        with pytest.raises(ValueError):
-            run_chunks_in_process(_square_chunk, CHUNKS, None, lanes=0)
+        results = run_chunks_in_process(record, CHUNKS, "ctx")
+        # Every chunk runs here, once, in chunk order.
+        assert calls == CHUNKS
+        assert _values(results) == EXPECTED
+        assert set(_pids(results)) == {os.getpid()}
 
 
 class TestLanePool:
     def test_matches_emulation_exactly(self):
         pool = LanePool(lanes=2, name="test-lane")
-        assert pool.run(_square_chunk, CHUNKS, "ctx") == EXPECTED
+        results = pool.run(_square_chunk, CHUNKS, "ctx")
+        assert _values(results) == _values(
+            run_chunks_in_process(_square_chunk, CHUNKS, "ctx")
+        )
+        # Lane pinning: chunks 0 and 2 share lane 0, chunks 1 and 3 lane 1.
+        pids = _pids(results)
+        assert pids[0] == pids[2] != pids[1] == pids[3]
+        assert os.getpid() not in pids
 
     def test_more_lanes_than_chunks(self):
         pool = LanePool(lanes=8)
         results = pool.run(_square_chunk, [[3], [5]], "ctx")
-        # Each chunk lands on its own lane: both are that lane's first call.
-        assert results == [[("ctx", 9, 1)], [("ctx", 25, 1)]]
+        # Each chunk lands on its own lane.
+        assert _values(results) == [[("ctx", 9)], [("ctx", 25)]]
+        assert len(set(_pids(results))) == 2
 
     def test_empty_chunk_list(self):
         assert LanePool(lanes=2).run(_square_chunk, [], "ctx") == []
@@ -121,34 +124,33 @@ class TestSplitChunks:
     def test_one_contiguous_chunk_per_lane_or_fixed_size(self):
         items = list(range(7))
         assert split_chunks(items, 3) == [[0, 1, 2], [3, 4, 5], [6]]
-        assert split_chunks(items, 3, chunk_size=2) == [[0, 1], [2, 3], [4, 5], [6]]
         assert split_chunks(items, 0) == [items]
         assert split_chunks([], 4) == []
 
 
 class TestRunLanes:
     def test_lane_processes_run_the_emulated_layout(self):
-        assert run_lanes(_square_chunk, CHUNKS, "ctx", 2, "test-lane") == (EXPECTED, 2)
+        results = run_lanes(_square_chunk, CHUNKS, "ctx", 2, "test-lane")
+        assert _values(results) == EXPECTED
+        assert len(set(_pids(results))) == 2
+        assert os.getpid() not in _pids(results)
 
     def test_zero_or_one_lane_runs_in_process(self):
         for lanes in (0, 1):
-            results, processes = run_lanes(_square_chunk, CHUNKS, "ctx", lanes, "t")
-            assert processes == 1
-            assert results == run_chunks_in_process(_square_chunk, CHUNKS, "ctx", 1)
+            results = run_lanes(_square_chunk, CHUNKS, "ctx", lanes, "t")
+            assert results == run_chunks_in_process(_square_chunk, CHUNKS, "ctx")
+            assert set(_pids(results)) == {os.getpid()}
 
     def test_unpicklable_context_falls_back_in_process(self):
         context = threading.Lock()  # cannot be pickled to a lane process
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            results, processes = run_lanes(
-                _square_chunk, CHUNKS, context, 2, "test-lane"
-            )
+            results = run_lanes(_square_chunk, CHUNKS, context, 2, "test-lane")
         fallbacks = [
             w for w in caught if "parallel execution unavailable" in str(w.message)
         ]
         assert len(fallbacks) == 1
-        assert processes == 1
-        assert results == run_chunks_in_process(_square_chunk, CHUNKS, context, 2)
+        assert results == run_chunks_in_process(_square_chunk, CHUNKS, context)
 
     def test_negative_lane_count_rejected(self):
         with pytest.raises(ValueError):

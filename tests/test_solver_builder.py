@@ -10,6 +10,7 @@ outcomes, and the statistics layer reports template reuse as
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -23,8 +24,10 @@ from repro.solvers import (
     SolveStats,
     SolveStatus,
     UnboundedError,
+    reset_solver_stats,
     use_stats,
 )
+from repro.solvers import stats as solver_stats_module
 from repro.solvers.status import map_status
 
 
@@ -158,83 +161,6 @@ class TestModelTemplate:
         assert solution[b] == 1.0
 
 
-class TestWarmStartMemo:
-    """The incumbent memo: exact hits, strict keys, OPTIMAL-only storage."""
-
-    def _box_template(self, warm_start: bool = True):
-        builder = ModelBuilder("memo")
-        x = builder.add_variable(0.0, 1.0)
-        builder.set_objective({x: 1.0}, maximize=True)
-        return builder.build(warm_start=warm_start), x
-
-    def test_identical_request_served_from_memo(self):
-        template, _ = self._box_template()
-        stats = SolveStats()
-        with use_stats(stats):
-            cold = template.solve()
-            warm = template.solve()
-        assert template.warm_start_hits == 1
-        assert template.memo_size == 1
-        # Bitwise equality with the cold solve, not approximate.
-        assert warm.objective == cold.objective
-        assert list(warm.x) == list(cold.x)
-        assert warm.status is cold.status
-        # The request counter includes the hit; the backend count does not.
-        assert stats.solves == 2
-        assert stats.warm_start_hits == 1
-        assert stats.backend_solves == 1
-
-    def test_rebinding_misses_then_returning_hits(self):
-        template, x = self._box_template()
-        first = template.solve()
-        template.set_variable_bounds(x, 0.0, 5.0)
-        assert template.solve().objective == pytest.approx(5.0)
-        assert template.warm_start_hits == 0
-        assert template.memo_size == 2
-        # Returning to the original binding hits the first memo entry.
-        template.set_variable_bounds(x, 0.0, 1.0)
-        assert template.solve().objective == first.objective
-        assert template.warm_start_hits == 1
-
-    def test_solve_options_are_part_of_the_key(self):
-        template, _ = self._box_template()
-        template.solve()
-        template.solve(time_limit=30.0)
-        assert template.warm_start_hits == 0
-        assert template.memo_size == 2
-
-    def test_memo_disabled_by_default(self):
-        template, _ = self._box_template(warm_start=False)
-        template.solve()
-        template.solve()
-        assert template.warm_start_hits == 0
-        assert template.memo_size == 0
-
-    def test_limit_solutions_never_memoized(self, monkeypatch):
-        # A LIMIT incumbent depends on how far the solver got before the
-        # limit — machine-speed dependent, so replaying it from a memo
-        # would break the determinism contract.
-        import numpy as np
-        from scipy import optimize
-
-        def fake_milp(*args, **kwargs):
-            class Result:
-                status = 1  # time limit with incumbent
-                message = "limit reached"
-                x = np.array([2.0])
-            return Result()
-
-        monkeypatch.setattr(optimize, "milp", fake_milp)
-        builder = ModelBuilder("limit-memo")
-        x = builder.add_variable(0.0, 3.0, integer=True)
-        builder.set_objective({x: 1.0}, maximize=True)
-        template = builder.build(warm_start=True)
-        solution = template.solve(time_limit=1.0)
-        assert solution.status is SolveStatus.LIMIT
-        assert template.memo_size == 0
-        assert template.warm_start_hits == 0
-
-
 class TestSolveStats:
     def test_builds_and_solves_recorded(self):
         stats = SolveStats()
@@ -247,7 +173,6 @@ class TestSolveStats:
             template.solve()
         assert stats.model_builds == 1
         assert stats.solves == 2
-        assert stats.template_reuses == 1
         assert stats.solve_time >= 0.0
 
     def test_merge_and_copy(self):
@@ -260,53 +185,57 @@ class TestSolveStats:
         assert a.as_dict()["solves"] == 2
 
     def test_merge_semantics_across_workers(self):
-        # Two worker-side records merged into the parent: counters and
-        # times accumulate; worker counts and the MIP-gap bound fold with
-        # max (they are decisions/bounds, not quantities).
+        # Two records merged: counters and times accumulate; the MIP-gap
+        # bound folds with max (a bound, not a quantity).
         a = SolveStats(
             model_builds=1,
             solves=4,
-            warm_start_hits=1,
             rebinds=3,
-            lp_chunks=2,
             limit_solves=1,
             worst_mip_gap=0.25,
             build_time=0.5,
             solve_time=1.5,
             rebind_time=0.1,
-            lp_workers_requested=4,
-            lp_workers_effective=4,
         )
         b = SolveStats(
             model_builds=2,
             solves=3,
-            warm_start_hits=2,
             rebinds=1,
-            lp_chunks=1,
             limit_solves=0,
             worst_mip_gap=0.75,
             build_time=0.25,
             solve_time=0.5,
             rebind_time=0.2,
-            lp_workers_requested=2,
-            lp_workers_effective=1,
         )
         merged = a.copy().merge(b)
         assert merged.model_builds == 3
         assert merged.solves == 7
-        assert merged.warm_start_hits == 3
         assert merged.rebinds == 4
-        assert merged.lp_chunks == 3
         assert merged.limit_solves == 1
         assert merged.worst_mip_gap == 0.75
-        assert merged.lp_workers_requested == 4
-        assert merged.lp_workers_effective == 4
         assert merged.build_time == pytest.approx(0.75)
         assert merged.rebind_time == pytest.approx(0.3)
-        assert merged.backend_solves == 4
-        assert merged.template_reuses == 4
         # The originals are untouched (merge works on the copy).
-        assert a.worst_mip_gap == 0.25 and b.lp_chunks == 1
+        assert a.worst_mip_gap == 0.25 and b.rebinds == 1
+
+    def test_every_field_copied_and_reset_in_place(self):
+        # One field list: a record populated in every field survives copy
+        # and as_dict whole, and reset_solver_stats zeroes every field of
+        # the live global record without replacing it.
+        names = [item.name for item in dataclasses.fields(SolveStats)]
+        full = SolveStats(**{name: index + 1 for index, name in enumerate(names)})
+        assert dataclasses.asdict(full.copy()) == dataclasses.asdict(full)
+        assert full.copy() is not full
+        assert full.as_dict() == {name: index + 1 for index, name in enumerate(names)}
+
+        live = solver_stats_module._GLOBAL
+        try:
+            live.merge(full)
+            reset_solver_stats()
+            assert solver_stats_module._GLOBAL is live
+            assert dataclasses.asdict(live) == dataclasses.asdict(SolveStats())
+        finally:
+            reset_solver_stats()
 
 
 class TestStatusMapping:

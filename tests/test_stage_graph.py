@@ -63,7 +63,7 @@ class TestConfigHash:
     def test_unrelated_field_change_keeps_hash(self):
         """Fields outside the selection must not move the digest."""
         base = PalmedConfig()
-        changed = dataclasses.replace(base, lp_parallelism=8, parallelism=4,
+        changed = dataclasses.replace(base, parallelism=4,
                                       cache_path="/tmp/somewhere.json")
         fields = ["epsilon", "min_ipc", "m_repeat"]
         assert base.config_hash(fields) == changed.config_hash(fields)
@@ -170,11 +170,9 @@ class TestInvalidation:
         return result.stats.stage_checkpoint_hits, result
 
     def test_unrelated_config_change_hits_every_stage(self, characterized, toy_machine):
-        """lp_parallelism/cache knobs are read by no stage: all five hit."""
+        """parallelism/cache knobs are read by no stage: all five hit."""
         registry, _ = characterized
-        hits, _ = self._hits(
-            toy_machine, registry, fast_config(lp_parallelism=2, parallelism=2)
-        )
+        hits, _ = self._hits(toy_machine, registry, fast_config(parallelism=2))
         assert hits == {name: True for name in hits}
 
     def test_selection_field_reruns_only_downstream(self, characterized, toy_machine):

@@ -273,7 +273,7 @@ class TestQueries:
             TRACER.metric("serving.flush", 1.0, kernels=99, failed=0)
             TRACER.metric("serving.flush", 9.0, kernels=512, failed=2)
             TRACER.metric("solver.solves", 10)
-            TRACER.metric("solver.warm_start_hits", 4)
+            TRACER.metric("solver.model_builds", 4)
             TRACER.metric("cluster.failover", 1, node="n1")
             TRACER.metric("cluster.sync_failure", 1, node="n2")
         with Warehouse(db) as warehouse:
@@ -294,8 +294,9 @@ class TestQueries:
             columns, solver = solver_rates(warehouse)
             (row,) = solver
             by_column = dict(zip(columns, row))
+            assert columns == ["run_id", "solves", "model_builds", "lp_time_s"]
             assert by_column["solves"] == 10
-            assert by_column["warm_hit_rate"] == pytest.approx(0.4)
+            assert by_column["model_builds"] == 4
 
             columns, cluster = cluster_events(warehouse)
             (row,) = cluster
@@ -397,9 +398,8 @@ class TestStatsMergeEdgeCases:
 
     def test_solve_stats_merge_with_empty_record_is_identity(self):
         record = SolveStats(
-            model_builds=2, solves=5, warm_start_hits=3, worst_mip_gap=0.01,
-            build_time=0.5, solve_time=1.5, lp_workers_requested=4,
-            lp_workers_effective=2,
+            model_builds=2, solves=5, rebinds=3, worst_mip_gap=0.01,
+            build_time=0.5, solve_time=1.5,
         )
         before = dataclasses.asdict(record)
         record.merge(SolveStats())
@@ -411,22 +411,20 @@ class TestStatsMergeEdgeCases:
 
     def test_solve_stats_additive_vs_max_split(self):
         left = SolveStats(
-            solves=5, warm_start_hits=2, worst_mip_gap=0.02,
-            solve_time=1.0, lp_workers_requested=8, lp_workers_effective=8,
+            solves=5, rebinds=2, limit_solves=1, worst_mip_gap=0.02,
+            solve_time=1.0,
         )
         right = SolveStats(
-            solves=3, warm_start_hits=1, worst_mip_gap=0.05,
-            solve_time=0.5, lp_workers_requested=2, lp_workers_effective=1,
+            solves=3, rebinds=1, limit_solves=2, worst_mip_gap=0.05,
+            solve_time=0.5,
         )
         left.merge(right)
         assert left.solves == 8
-        assert left.warm_start_hits == 3
+        assert left.rebinds == 3
+        assert left.limit_solves == 3
         assert left.solve_time == pytest.approx(1.5)
-        assert left.backend_solves == 5
-        # Bounds and decisions take the max, never the sum.
+        # The gap is a bound: it takes the max, never the sum.
         assert left.worst_mip_gap == 0.05
-        assert left.lp_workers_requested == 8
-        assert left.lp_workers_effective == 8
 
 
 def _wait_until(predicate, timeout=10.0, interval=0.02):
