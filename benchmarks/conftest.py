@@ -12,7 +12,6 @@ the artifacts survive the pytest-benchmark output capture.
 
 from __future__ import annotations
 
-import json
 import pathlib
 
 import pytest
@@ -33,7 +32,7 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 #: Size of the synthetic ISA used by the benchmark harness.  Scaled down from
 #: the paper's ~3000 x86 instructions so a full run stays in the minutes.
-BENCH_ISA_SIZE = 36
+ISA_SIZE = 36
 
 
 def bench_config() -> PalmedConfig:
@@ -57,23 +56,9 @@ def write_result(name: str, content: str) -> pathlib.Path:
     return path
 
 
-def write_json_result(name: str, payload: dict) -> pathlib.Path:
-    """Persist a machine-readable bench record (``BENCH_*.json``).
-
-    The ``.txt`` tables are for humans; these records are what CI jobs and
-    regression tooling compare against — stable keys, no layout to parse.
-    """
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    path = RESULTS_DIR / name
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return path
-
-
 @pytest.fixture(scope="session")
 def bench_isa():
-    return build_small_isa(BENCH_ISA_SIZE, seed=0)
+    return build_small_isa(ISA_SIZE, seed=0)
 
 
 @pytest.fixture(scope="session")

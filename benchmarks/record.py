@@ -1,31 +1,23 @@
-"""Provenance stamping for the machine-readable bench records.
+"""Provenance stamping for machine-readable benchmark records.
 
-Every ``BENCH_*.json`` record is a perf claim, and perf claims are
-meaningless without knowing *where* they were measured: the cluster
-ladder's acceptance gate already branches on ``host_cpus``, and the
-telemetry warehouse (``python -m repro stats --ingest``) lines bench
-records up on a time axis.  :func:`write_bench_record` therefore stamps
-every record with:
+A performance record is meaningless without knowing *where* it was
+measured.  :func:`stamp` fills in:
 
 * ``host_cpus`` — ``os.cpu_count()`` of the measuring host;
 * ``hostname`` — ``socket.gethostname()``;
 * ``recorded_at`` — an ISO-8601 UTC timestamp.
 
-All bench scripts write their JSON records through here (the plain-text
-tables keep using ``conftest.write_result``).  A payload that already
-carries one of the stamp keys keeps its own value — ``bench_cluster.py``
-computes ``host_cpus`` itself for its acceptance gate, and the stamp must
-agree with what the gate actually read.
+perfbench stamps every run record it writes to ``.perfbench_records/``
+through here.  A payload that already carries one of the stamp keys
+keeps its own value.  The module imports only the standard library, so
+stamping a record pulls in neither pytest nor ``repro``.
 """
 
 from __future__ import annotations
 
 import os
-import pathlib
 import socket
 from datetime import datetime, timezone
-
-from conftest import write_json_result
 
 
 def stamp(payload: dict) -> dict:
@@ -38,8 +30,3 @@ def stamp(payload: dict) -> dict:
         datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%S%z"),
     )
     return stamped
-
-
-def write_bench_record(name: str, payload: dict) -> pathlib.Path:
-    """Stamp and persist one ``BENCH_*.json`` record."""
-    return write_json_result(name, stamp(payload))

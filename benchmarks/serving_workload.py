@@ -1,29 +1,21 @@
-"""Shared serving-bench workload: corpus, artifact, client driver, baseline.
+"""The serving workload: machine, artifact, hot corpus and bitwise checks.
 
-``bench_serving.py`` (the throughput ladder) and ``profile_serving.py``
-(the phase-attribution harness) must measure *the same* workload — same
-machine, same corpus shape, same client behaviour — or their numbers
-cannot be read against each other.  This module is that single
-definition.
-
-The workload models a serving node's sustained regime: a hot-content
+perfbench's serve workloads take what a serving node is asked from
+here: the SKL-like machine over a 64-instruction ISA, an artifact built
+from that machine's ground-truth conjunctive dual, and a hot-content
 corpus of large basic blocks (the unrolled/vectorized hot loops that
-dominate Fig. 4b-style suites), clients that pipeline small groups of
-requests with a bounded in-flight window, and seeded RNGs throughout so
-every run replays the identical request stream.
+dominate Fig. 4b-style suites), drawn with seeded RNGs so every run
+replays the same blocks.
 
-Request streams are **precomputed outside the timed region**
-(:func:`build_streams`): the timed loop does nothing but submit and
-drain, so the ladder measures the serving stack, not Python RNG calls.
+:func:`scalar_reference_table` and :func:`identical` are the correctness
+side: perfbench compares every answer it times, bit for bit, with the
+offline scalar prediction of the same block.
 """
 
 from __future__ import annotations
 
 import random
 import struct
-import threading
-import time
-from collections import deque
 
 from repro import Microkernel, build_skylake_like_machine, build_small_isa
 from repro.artifacts import MappingArtifact
@@ -34,10 +26,6 @@ from repro.palmed.result import PalmedStats
 CORPUS_BLOCKS = 2000
 #: Distinct-instruction range per block (large unrolled hot blocks).
 BLOCK_DISTINCT = (24, 48)
-#: Blocks per client message (one line-protocol request carries a group).
-GROUP = 4
-#: In-flight groups per client (the pipeline window).
-WINDOW = 8
 
 
 def serving_machine():
@@ -83,94 +71,6 @@ def build_corpus(machine, n_blocks: int = CORPUS_BLOCKS, seed: int = 1):
             )
         )
     return corpus
-
-
-def build_streams(corpus, concurrency: int, total_requests: int, seed: int = 7000):
-    """Per-client request streams: lists of kernel groups, precomputed.
-
-    Deterministic in (corpus, concurrency, total_requests, seed) and
-    independent of timing, so every trial replays the exact same
-    per-client sequence of groups.
-    """
-    per_client = total_requests // concurrency
-    streams = []
-    for index in range(concurrency):
-        rng = random.Random(seed + index)
-        groups = []
-        submitted = 0
-        while submitted < per_client:
-            group = [
-                corpus[rng.randrange(len(corpus))]
-                for _ in range(min(GROUP, per_client - submitted))
-            ]
-            submitted += len(group)
-            groups.append(group)
-        streams.append(groups)
-    return streams
-
-
-def run_clients(service, fingerprint, streams, collect: bool = True):
-    """Drive the precomputed streams concurrently; returns (elapsed_s, responses).
-
-    One thread per stream, each pipelining up to ``WINDOW`` in-flight
-    groups.  ``collect=False`` skips keeping (kernel, prediction) pairs
-    (pure-throughput trials); responses are then per-client counts.
-    """
-    responses = [None] * len(streams)
-    errors = []
-    barrier = threading.Barrier(len(streams) + 1)
-
-    def client(index, groups):
-        results = []
-        count = 0
-        pending = deque()
-
-        def drain_one():
-            nonlocal count
-            kernels, future = pending.popleft()
-            answers = future.result(120.0)
-            count += len(answers)
-            if collect:
-                results.extend(zip(kernels, answers))
-
-        try:
-            barrier.wait(timeout=60.0)
-            for group in groups:
-                pending.append((group, service.submit_many(fingerprint, group)))
-                if len(pending) >= WINDOW:
-                    drain_one()
-            while pending:
-                drain_one()
-            responses[index] = results if collect else count
-        except Exception as error:  # noqa: BLE001 - surfaced below
-            errors.append((index, error))
-
-    threads = [
-        threading.Thread(target=client, args=(index, groups))
-        for index, groups in enumerate(streams)
-    ]
-    for thread in threads:
-        thread.start()
-    barrier.wait(timeout=60.0)
-    start = time.perf_counter()
-    for thread in threads:
-        thread.join()
-    elapsed = time.perf_counter() - start
-    assert not errors, errors
-    return elapsed, responses
-
-
-def scalar_baseline(predictor, corpus, total_requests, seed=99, repeats=3):
-    """Requests/sec of the per-request scalar loop on an identical stream."""
-    rng = random.Random(seed)
-    stream = [corpus[rng.randrange(len(corpus))] for _ in range(total_requests)]
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for kernel in stream:
-            predictor.predict(kernel)
-        best = min(best, time.perf_counter() - start)
-    return total_requests / best
 
 
 def bits(value) -> bytes:

@@ -79,8 +79,8 @@ def main() -> None:
     batch_time = time.perf_counter() - start
     print(f"scalar loop {scalar_time * 1e3:.1f} ms, "
           f"lowered batch {batch_time * 1e3:.1f} ms "
-          f"({scalar_time / batch_time:.1f}x) — see "
-          f"benchmarks/bench_predict_throughput.py for the asserted numbers")
+          f"({scalar_time / batch_time:.1f}x) — one timing, not a benchmark; "
+          f"python3 perfbench/run.py measures serving")
 
 
 if __name__ == "__main__":

@@ -19,6 +19,13 @@ from repro.cli.common import (
 )
 from repro.machines import available_machines
 
+#: ``--fast`` help, shared by ``characterize`` and ``fleet``.
+FAST_HELP = (
+    "use the cheap test configuration (smaller LPs, tighter caps); LP1 is "
+    "proven optimal and LPAUX exact, but beyond the toy machine LP2 can "
+    "stop at its 60 s limit, and the mapping then depends on host speed"
+)
+
 
 def add_characterize_arguments(parser: argparse.ArgumentParser) -> None:
     """The characterization flags shared by the legacy CLI and ``characterize``."""
@@ -51,7 +58,7 @@ def add_characterize_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--fast",
         action="store_true",
-        help="use the cheap test configuration (smaller LPs, tighter caps)",
+        help=FAST_HELP,
     )
     parser.add_argument(
         "--show-mapping",
@@ -260,7 +267,7 @@ def register(subparsers) -> None:
     fleet.add_argument(
         "--fast",
         action="store_true",
-        help="use the cheap test configuration (smaller LPs, tighter caps)",
+        help=FAST_HELP,
     )
     fleet.add_argument(
         "--no-resume",

@@ -12,20 +12,19 @@ The read side of :mod:`repro.telemetry`: point it at the sqlite file a
   model builds, LP time) per run;
 * ``... stats --db palmed.sqlite cluster`` — failover / retry /
   sync-failure counts;
-* ``... stats --db palmed.sqlite bench [--like PAT]`` — the committed
-  ``BENCH_*.json`` perf trajectory (after ``--ingest``);
 * ``... stats --db palmed.sqlite --sql 'SELECT ...'`` — anything else.
 
-``--ingest DIR`` (re-)loads every ``BENCH_*.json`` under DIR into the
-``bench_records`` table first (idempotent per file).  Output is a text
-table by default, one JSON object with ``columns``/``rows`` under
-``--json``.
+Output is a text table by default, one JSON object with
+``columns``/``rows`` under ``--json``.  A warehouse that cannot be
+opened or a query sqlite rejects is reported as ``error: ...`` with
+exit 2, like any other bad command-line input.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import sqlite3
 import sys
 from typing import List, Sequence, Tuple
 
@@ -55,35 +54,26 @@ def format_table(columns: Sequence[str], rows: Sequence[Tuple]) -> str:
 
 def run_stats(args: argparse.Namespace) -> int:
     from repro.telemetry import Warehouse
-    from repro.telemetry.queries import CANNED, bench_trajectory
+    from repro.telemetry.queries import CANNED
 
-    if args.report is None and args.sql is None and args.ingest is None:
+    if args.report is None and args.sql is None:
         print(
-            "error: pick a report (" + ", ".join(sorted(CANNED)) + "), "
-            "--sql QUERY, or --ingest DIR",
+            "error: pick a report (" + ", ".join(sorted(CANNED)) + ") "
+            "or --sql QUERY",
             file=sys.stderr,
         )
         return 2
 
-    with Warehouse(args.db) as warehouse:
-        if args.ingest is not None:
-            ingested = warehouse.ingest_bench_dir(args.ingest)
-            total = sum(ingested.values())
-            print(
-                f"ingested {total} record(s) from {len(ingested)} "
-                f"bench file(s) in {args.ingest}",
-                file=sys.stderr,
-            )
-            if args.report is None and args.sql is None:
-                return 0 if ingested else 1
-
-        if args.sql is not None:
-            columns, rows = warehouse.query(args.sql)
-        elif args.report == "bench":
-            columns, rows = bench_trajectory(warehouse, like=args.like)
-        else:
-            runner, _ = CANNED[args.report]
-            columns, rows = runner(warehouse)
+    try:
+        with Warehouse(args.db) as warehouse:
+            if args.sql is not None:
+                columns, rows = warehouse.query(args.sql)
+            else:
+                runner, _ = CANNED[args.report]
+                columns, rows = runner(warehouse)
+    except sqlite3.Error as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
     if args.json:
         json.dump({"columns": list(columns), "rows": [list(r) for r in rows]},
@@ -122,20 +112,7 @@ def register(subparsers) -> None:
         metavar="QUERY",
         default=None,
         help="run this SQL instead of a canned report (read-only use "
-        "intended; tables: runs, spans, metrics, bench_records)",
-    )
-    stats.add_argument(
-        "--ingest",
-        metavar="DIR",
-        default=None,
-        help="first (re-)ingest every BENCH_*.json under DIR into "
-        "bench_records (idempotent; exit 1 if DIR holds none)",
-    )
-    stats.add_argument(
-        "--like",
-        metavar="PAT",
-        default="%",
-        help="(bench report) SQL LIKE filter on the metric path",
+        "intended; tables: runs, spans, metrics)",
     )
     stats.add_argument(
         "--json",

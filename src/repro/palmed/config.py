@@ -179,11 +179,13 @@ class PalmedConfig:
     def for_fast_tests(self) -> "PalmedConfig":
         """A cheaper configuration used by the unit-test suite.
 
-        The time limits are headroom, not budgets: at this problem scale
-        every solve terminates by optimality well inside them, so results
-        do not depend on machine speed.  They are set high enough that a
-        loaded CI machine cannot clip an almost-finished solve into a
-        worse (and load-dependent) incumbent.
+        LP1 is solved to a proven optimum (its time limit is a ceiling)
+        and LPAUX is exact, so neither depends on machine speed.  LP2 is
+        the exception: on the toy machine it proves its optimum in
+        seconds, but beyond it LP2 can stop at its 60 s
+        ``milp_time_limit`` (the tier-1 ``TestSmallMachinePipeline``
+        fixture and ``characterize --machine skl --isa-size 12 --fast``
+        both do), and the mapping then depends on host speed.
         """
         return PalmedConfig(
             n_basic=None,

@@ -115,9 +115,9 @@ class ServingStats:
     ) -> None:
         """Attribute scheduler wall time to the phases of one flush.
 
-        This is what ``benchmarks/profile_serving.py`` reads to attribute
-        a concurrency ladder's wall time; the serving hot path records one
-        call per flush, never per request.
+        perfbench's traced serve workloads read these totals (through the
+        node's stats snapshot) to attribute a run's wall time; the serving
+        hot path records one call per flush, never per request.
         """
         with self._lock:
             self.flush_build_s += build

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Sequence
 
 from repro.machines.machine import Machine
@@ -31,16 +30,6 @@ class PortModelBackend:
         Whether the decode-width bottleneck is part of the measurement.
         True for the "hardware"; the uops.info-like baseline predictor uses
         False to reproduce that tool's port-only view.
-    measurement_latency:
-        Simulated wall-clock cost (seconds) of running one microbenchmark,
-        paid on every cache miss.  On real hardware a measurement costs
-        milliseconds to seconds (generation, assembly, warm-up, repeated
-        timed runs) and benchmarking dominates the pipeline's wall-clock
-        (Table II); the model-evaluation backends are unrealistically
-        instant.  The scalability benchmarks set this knob to reproduce the
-        real-hardware regime when exercising the parallel/cached
-        measurement layer.  It never affects measured *values* and is
-        therefore excluded from the cache fingerprint.
     """
 
     def __init__(
@@ -48,14 +37,10 @@ class PortModelBackend:
         machine: Machine,
         noise: Optional[MeasurementNoise] = None,
         include_front_end: bool = True,
-        measurement_latency: float = 0.0,
     ) -> None:
-        if measurement_latency < 0:
-            raise ValueError("measurement_latency must be non-negative")
         self.machine = machine
         self.noise = noise if noise is not None else MeasurementNoise()
         self.include_front_end = include_front_end
-        self.measurement_latency = measurement_latency
         self._mapping = machine.true_conjunctive(include_front_end=include_front_end)
         self._cache: Dict[Microkernel, float] = {}
 
@@ -65,8 +50,6 @@ class PortModelBackend:
         cached = self._cache.get(kernel)
         if cached is not None:
             return cached
-        if self.measurement_latency > 0:
-            time.sleep(self.measurement_latency)
         true_cycles = self._mapping.cycles(kernel)
         measured = self.noise.apply(kernel, true_cycles)
         self._cache[kernel] = measured

@@ -7,8 +7,7 @@ Three pieces:
   all five runtime tiers; disabled by default, one attribute check per
   hook when off.
 * :mod:`repro.telemetry.warehouse` — the sqlite star schema
-  (``runs``/``spans``/``metrics``/``bench_records``), its batched
-  bounded-queue writer, and ``BENCH_*.json`` ingestion.
+  (``runs``/``spans``/``metrics``) and its batched bounded-queue writer.
 * :mod:`repro.telemetry.queries` — the canned reports behind
   ``python -m repro stats``.
 

@@ -171,23 +171,6 @@ def cluster_events(warehouse) -> QueryResult:
     )
 
 
-def bench_trajectory(warehouse, like: str = "%") -> QueryResult:
-    """The committed-benchmark perf trajectory, grouped by metric path.
-
-    ``like`` filters metric paths with SQL LIKE (default: everything) —
-    e.g. ``repro stats bench --like '%speedup%'``.
-    """
-    return warehouse.query(
-        """
-        SELECT source, metric, value, recorded_at, hostname, host_cpus
-        FROM bench_records
-        WHERE metric LIKE ?
-        ORDER BY source, metric, recorded_at
-        """,
-        (like,),
-    )
-
-
 #: name -> (runner, help line) — the ``repro stats`` report registry.
 CANNED = {
     "runs": (list_runs, "all recorded runs with span/metric volume"),
@@ -198,5 +181,4 @@ CANNED = {
     ),
     "solver": (solver_rates, "solver volume: solves, model builds, LP time"),
     "cluster": (cluster_events, "cluster failover/retry/sync-failure counts"),
-    "bench": (bench_trajectory, "committed BENCH_*.json perf trajectory"),
 }

@@ -8,11 +8,7 @@ Schema (one fact table per record kind, ``runs`` as the shared dimension):
 * ``spans`` — hierarchical traced intervals (parent ids reference span
   ids within the same run, attributes as JSON);
 * ``metrics`` — point samples (per-flush serving latencies, per-solve
-  backend wall clocks, cluster failover events) with JSON labels;
-* ``bench_records`` — the flattened numeric leaves of the committed
-  ``benchmarks/results/BENCH_*.json`` files, so the perf trajectory is
-  queryable next to the live telemetry
-  (:meth:`Warehouse.ingest_bench_dir`).
+  backend wall clocks, cluster failover events) with JSON labels.
 
 Writer model
 ------------
@@ -74,16 +70,6 @@ CREATE TABLE IF NOT EXISTS metrics (
     labels TEXT NOT NULL DEFAULT '{}'
 );
 CREATE INDEX IF NOT EXISTS idx_metrics_run_name ON metrics (run_id, name);
-CREATE TABLE IF NOT EXISTS bench_records (
-    source      TEXT NOT NULL,
-    section     TEXT NOT NULL,
-    metric      TEXT NOT NULL,
-    value       REAL NOT NULL,
-    recorded_at TEXT,
-    hostname    TEXT,
-    host_cpus   INTEGER
-);
-CREATE INDEX IF NOT EXISTS idx_bench_metric ON bench_records (metric);
 """
 
 #: Sentinel shutting the writer thread down after a final drain.
@@ -326,7 +312,7 @@ def telemetry_session(
 
 
 class Warehouse:
-    """Read-side access to a telemetry database (queries + ingestion)."""
+    """Read-side access to a telemetry database."""
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
@@ -350,67 +336,3 @@ class Warehouse:
         cursor = self._connection.execute(sql, tuple(params))
         columns = [description[0] for description in cursor.description or ()]
         return columns, [tuple(row) for row in cursor.fetchall()]
-
-    # -- bench-record ingestion ----------------------------------------------
-    def ingest_bench_file(self, path: Union[str, Path]) -> int:
-        """(Re-)ingest one ``BENCH_*.json`` file; returns rows inserted.
-
-        Every numeric leaf becomes one ``bench_records`` row whose
-        ``metric`` is the dotted path to the leaf and whose ``section``
-        is the path's first component.  Stamps (``recorded_at``,
-        ``hostname``, ``host_cpus`` — written by
-        ``benchmarks/record.py``) are lifted from the nearest enclosing
-        object; records predating the stamping helper ingest with NULL
-        stamps.  Re-ingesting a file replaces its previous rows, so
-        ingestion is idempotent.
-        """
-        path = Path(path)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        rows: List[Tuple] = []
-        source = path.name
-
-        def stamps_of(node: object, inherited: Tuple) -> Tuple:
-            if not isinstance(node, dict):
-                return inherited
-            recorded_at, hostname, host_cpus = inherited
-            recorded_at = node.get("recorded_at", recorded_at)
-            hostname = node.get("hostname", hostname)
-            host_cpus = node.get("host_cpus", host_cpus)
-            return (recorded_at, hostname, host_cpus)
-
-        def walk(node: object, prefix: str, stamps: Tuple) -> None:
-            stamps = stamps_of(node, stamps)
-            if isinstance(node, dict):
-                for key, value in node.items():
-                    walk(value, f"{prefix}.{key}" if prefix else str(key), stamps)
-            elif isinstance(node, list):
-                for index, value in enumerate(node):
-                    walk(value, f"{prefix}[{index}]", stamps)
-            elif isinstance(node, bool):
-                rows.append((source, prefix.split(".")[0].split("[")[0],
-                             prefix, 1.0 if node else 0.0, *stamps))
-            elif isinstance(node, (int, float)):
-                rows.append((source, prefix.split(".")[0].split("[")[0],
-                             prefix, float(node), *stamps))
-
-        walk(payload, "", (None, None, None))
-        self._connection.execute(
-            "DELETE FROM bench_records WHERE source = ?", (source,)
-        )
-        self._connection.executemany(
-            "INSERT INTO bench_records VALUES (?, ?, ?, ?, ?, ?, ?)", rows
-        )
-        self._connection.commit()
-        return len(rows)
-
-    def ingest_bench_dir(self, directory: Union[str, Path]) -> Dict[str, int]:
-        """Ingest every ``BENCH_*.json`` under ``directory``.
-
-        Returns ``{file name: rows ingested}``; an empty dict means the
-        directory held no bench records at all.
-        """
-        directory = Path(directory)
-        ingested: Dict[str, int] = {}
-        for path in sorted(directory.glob("BENCH_*.json")):
-            ingested[path.name] = self.ingest_bench_file(path)
-        return ingested

@@ -169,11 +169,6 @@ class TestFingerprints:
 
         assert backend_fingerprint(Anonymous()) is None
 
-    def test_measurement_latency_does_not_change_fingerprint(self, toy_machine):
-        instant = PortModelBackend(toy_machine)
-        slow = PortModelBackend(toy_machine, measurement_latency=0.01)
-        assert backend_fingerprint(instant) == backend_fingerprint(slow)
-
 
 class TestRunnerIntegration:
     """The cache as used by :class:`BenchmarkRunner` across runs."""

@@ -194,6 +194,20 @@ class TestQuadraticBenchmarks:
         n = len(toy_quadratic.instructions)
         assert toy_quadratic.num_pairs == n * (n - 1) // 2
 
+    def test_benchmark_count_grows_quadratically(self):
+        # The paper's scalability argument: the selection phase measures
+        # every pair, so its benchmark count tracks the squared ISA size.
+        counts = []
+        for size in (12, 24, 36, 48):
+            machine = build_skylake_like_machine(isa=build_small_isa(size, seed=0))
+            backend = PortModelBackend(machine)
+            instructions = machine.benchmarkable_instructions()
+            QuadraticBenchmarks(BenchmarkRunner(backend, PalmedConfig()), instructions)
+            counts.append((len(instructions), backend.measurement_count))
+        (n_small, smallest), (n_large, largest) = counts[0], counts[-1]
+        size_ratio = (n_large / n_small) ** 2
+        assert 0.3 * size_ratio <= largest / smallest <= 3.0 * size_ratio
+
 
 class TestBasicSelection:
     def test_toy_selection_covers_all_classes(self, toy_quadratic):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -73,6 +75,14 @@ class TestPortModelBackend:
         assert toy_backend.ipc(kernel) == pytest.approx(
             kernel.size / toy_backend.cycles(kernel)
         )
+
+    def test_constructor_takes_no_simulated_latency(self, toy_machine):
+        # Measurements cost no wall time: the backend has no sleep knob,
+        # and a keyword it does not declare is refused, never ignored.
+        parameters = inspect.signature(PortModelBackend).parameters
+        assert list(parameters) == ["machine", "noise", "include_front_end"]
+        with pytest.raises(TypeError):
+            PortModelBackend(toy_machine, latency=0.1)
 
 
 class TestNoise:

@@ -10,8 +10,8 @@ Four contracts are pinned down here:
 3. **Never block the hot path** — a full writer queue drops (and counts)
    records; a broken warehouse path surfaces only at session close.
 4. **The warehouse answers the canned questions** — stage wall clocks,
-   serving percentiles, solver rates, cluster events and the committed
-   bench trajectory all come back non-empty from real or synthetic runs.
+   serving percentiles, solver rates and cluster events all come back
+   non-empty from real or synthetic runs.
 
 The stats-merge edge cases (empty / partial snapshots, the SolveStats
 max-vs-additive split) ride along, as does the republish-watcher fault
@@ -189,67 +189,6 @@ class TestWriterAndSession:
             writer.emit_metric("m", float(index), 1.0, {})
         with pytest.raises(sqlite3.OperationalError):
             writer.close()
-
-
-class TestBenchIngestion:
-    def _write(self, path, payload):
-        path.write_text(json.dumps(payload), encoding="utf-8")
-
-    def test_leaves_flatten_with_inherited_stamps(self, tmp_path):
-        record = {
-            "recorded_at": "2026-08-08T00:00:00+0000",
-            "hostname": "bench-host",
-            "host_cpus": 8,
-            "bench": "serving",  # non-numeric leaf: skipped
-            "p50_ms": 1.5,
-            "passed": True,
-            "ladder": [{"concurrency": 1}, {"concurrency": 32}],
-            "nested": {"hostname": "other-host", "speedup": 3.0},
-        }
-        self._write(tmp_path / "BENCH_x.json", record)
-        with Warehouse(tmp_path / "wh.sqlite") as warehouse:
-            count = warehouse.ingest_bench_file(tmp_path / "BENCH_x.json")
-            _, rows = warehouse.query(
-                "SELECT metric, value, hostname, host_cpus FROM bench_records "
-                "ORDER BY metric"
-            )
-        by_metric = {metric: (value, hostname, cpus)
-                     for metric, value, hostname, cpus in rows}
-        assert count == len(rows)
-        assert by_metric["p50_ms"] == (1.5, "bench-host", 8)
-        assert by_metric["passed"] == (1.0, "bench-host", 8)
-        assert by_metric["ladder[0].concurrency"] == (1.0, "bench-host", 8)
-        assert by_metric["ladder[1].concurrency"] == (32.0, "bench-host", 8)
-        # The nested dict's own stamp wins over the inherited one.
-        assert by_metric["nested.speedup"] == (3.0, "other-host", 8)
-        assert "bench" not in by_metric
-
-    def test_unstamped_records_ingest_with_null_stamps(self, tmp_path):
-        self._write(tmp_path / "BENCH_old.json", {"speedup": 2.0})
-        with Warehouse(tmp_path / "wh.sqlite") as warehouse:
-            assert warehouse.ingest_bench_file(tmp_path / "BENCH_old.json") == 1
-            _, rows = warehouse.query(
-                "SELECT recorded_at, hostname, host_cpus FROM bench_records"
-            )
-        assert rows == [(None, None, None)]
-
-    def test_reingestion_is_idempotent(self, tmp_path):
-        self._write(tmp_path / "BENCH_a.json", {"x": 1, "y": 2})
-        self._write(tmp_path / "BENCH_b.json", {"z": 3})
-        with Warehouse(tmp_path / "wh.sqlite") as warehouse:
-            first = warehouse.ingest_bench_dir(tmp_path)
-            assert first == {"BENCH_a.json": 2, "BENCH_b.json": 1}
-            # Re-run after one file changed: replaced, never duplicated.
-            self._write(tmp_path / "BENCH_a.json", {"x": 10})
-            second = warehouse.ingest_bench_dir(tmp_path)
-            assert second == {"BENCH_a.json": 1, "BENCH_b.json": 1}
-            _, rows = warehouse.query(
-                "SELECT source, metric, value FROM bench_records ORDER BY metric"
-            )
-        assert rows == [
-            ("BENCH_a.json", "x", 10.0),
-            ("BENCH_b.json", "z", 3.0),
-        ]
 
 
 class TestQueries:
@@ -515,25 +454,62 @@ class TestStatsCli:
         )
         assert "1" in capsys.readouterr().out
 
-    def test_ingest_then_bench_report(self, tmp_path, capsys):
-        results = tmp_path / "results"
-        results.mkdir()
-        (results / "BENCH_x.json").write_text(
-            json.dumps({"speedup": 4.0, "hostname": "h", "host_cpus": 2}),
-            encoding="utf-8",
-        )
-        db = tmp_path / "wh.sqlite"
-        assert (
-            self._main(
-                "stats", "--db", str(db), "bench",
-                "--ingest", str(results), "--like", "%speedup%",
-            )
-            == 0
-        )
-        captured = capsys.readouterr()
-        assert "1 bench file(s)" in captured.err  # ingestion report on stderr
-        assert "speedup" in captured.out and "4" in captured.out
-
     def test_no_report_requested_is_an_error(self, tmp_path, capsys):
         assert self._main("stats", "--db", str(tmp_path / "wh.sqlite")) == 2
         assert "report" in capsys.readouterr().err.lower()
+
+    @pytest.mark.parametrize(
+        "db_name, argv",
+        [
+            pytest.param("wh.sqlite", ["--sql", "SELEC 1"], id="bad-sql"),
+            pytest.param("no-such-dir/wh.sqlite", ["runs"], id="unopenable-db"),
+        ],
+    )
+    def test_bad_query_or_unopenable_db_is_an_error(
+        self, tmp_path, capsys, db_name, argv
+    ):
+        assert self._main("stats", "--db", str(tmp_path / db_name), *argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["bench"], id="bench"),
+            pytest.param(["--ingest", "results"], id="ingest"),
+            pytest.param(["runs", "--like", "%speedup%"], id="like"),
+        ],
+    )
+    def test_bench_report_and_ingestion_flags_refused(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as refused:
+            self._main("stats", "--db", str(tmp_path / "wh.sqlite"), *argv)
+        assert refused.value.code == 2
+
+    def test_table_the_schema_no_longer_declares_stays_readable(
+        self, tmp_path, capsys
+    ):
+        # A warehouse written by an older version may hold tables this one
+        # never creates: it still opens, and --sql still reads them.
+        db = tmp_path / "wh.sqlite"
+        connection = sqlite3.connect(str(db))
+        connection.execute(
+            "CREATE TABLE retired_records (source TEXT, metric TEXT, value REAL)"
+        )
+        connection.execute(
+            "INSERT INTO retired_records VALUES ('old.json', 'speedup', 4.0)"
+        )
+        connection.commit()
+        connection.close()
+        assert self._main("stats", "--db", str(db), "runs") == 0
+        assert "(0 rows)" in capsys.readouterr().out
+        assert (
+            self._main(
+                "stats", "--db", str(db), "--json",
+                "--sql", "SELECT metric, value FROM retired_records",
+            )
+            == 0
+        )
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["rows"] == [["speedup", 4.0]]
