@@ -30,12 +30,6 @@ FAST_HELP = (
 def add_characterize_arguments(parser: argparse.ArgumentParser) -> None:
     """The characterization flags shared by the legacy CLI and ``characterize``."""
     parser.add_argument(
-        "--parallelism",
-        type=non_negative_int,
-        default=0,
-        help="measurement worker processes (0 = in-process, the default)",
-    )
-    parser.add_argument(
         "--cache",
         metavar="PATH",
         default=None,
@@ -117,7 +111,6 @@ def run_characterize(args: argparse.Namespace) -> int:
     config = PalmedConfig().for_fast_tests() if args.fast else PalmedConfig()
     config = dataclasses.replace(
         config,
-        parallelism=args.parallelism,
         cache_path=args.cache,
         telemetry=getattr(args, "telemetry", None),
     )

@@ -120,7 +120,6 @@ def run_evaluate(args: argparse.Namespace) -> int:
         suite,
         [PalmedPredictor(mapping)],
         machine_name=machine.name,
-        workers=args.workers,
         cache=cache,
     )
     print(f"Fig. 4b metrics from {source} (no inference re-run)")
@@ -168,12 +167,6 @@ def register(subparsers) -> None:
     add_suite_arguments(evaluate)
     evaluate.add_argument(
         "--artifacts", metavar="DIR", required=True, help="registry directory"
-    )
-    evaluate.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="native-measurement worker processes (default: in-process)",
     )
     evaluate.add_argument(
         "--cache",

@@ -96,8 +96,7 @@ def register(subparsers) -> None:
         "--db",
         metavar="PATH",
         required=True,
-        help="the warehouse sqlite file (created by --telemetry runs; "
-        "created empty here if missing)",
+        help="the warehouse sqlite file (created by --telemetry runs)",
     )
     stats.add_argument(
         "report",

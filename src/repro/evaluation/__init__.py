@@ -5,7 +5,7 @@
 * :mod:`repro.evaluation.harness` — run a set of predictors over a
   benchmark suite against native execution and collect per-tool metrics
   (the rows of Fig. 4b); both sides are batched — native IPCs go through
-  the parallel/cached measurement layer, predictions through
+  the batched/cached measurement layer, predictions through
   ``predict_batch`` over one shared suite lowering;
 * :mod:`repro.evaluation.heatmap` — the predicted/native IPC-ratio
   density profiles of Fig. 4a;

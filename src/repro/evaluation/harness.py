@@ -7,8 +7,8 @@ exactly the three columns reported per (machine, suite, tool) in the paper.
 
 Both sides of the comparison are batched.  Native measurements go through
 the batched measurement layer (:mod:`repro.measure`): the whole suite is
-measured in one batch, optionally fanned out over worker processes and
-served from a persistent :class:`~repro.measure.MeasurementCache`, so
+measured in one in-process batch, optionally served from a persistent
+:class:`~repro.measure.MeasurementCache`, so
 re-evaluating suites against a machine that a PALMED run already
 characterized costs no re-measurement.  Predictions go through
 ``predict_batch``: the suite is lowered once to its sparse count matrix
@@ -117,7 +117,6 @@ class EvaluationResult:
 def _native_ipcs(
     backend: MeasurementBackend,
     blocks: List[BasicBlock],
-    dispatcher: ParallelDispatcher,
     cache: Optional[MeasurementCache],
 ) -> List[Optional[float]]:
     """Native IPC of every block (``None`` where unmeasurable), batched.
@@ -136,7 +135,9 @@ def _native_ipcs(
                 values[index] = cached
                 continue
         missing.append(index)
-    measured = dispatcher.measure_safe(backend, [blocks[i].kernel for i in missing])
+    measured = ParallelDispatcher().measure_safe(
+        backend, [blocks[i].kernel for i in missing]
+    )
     for index, value in zip(missing, measured):
         values[index] = value
         if value is not None and fingerprint is not None:
@@ -151,9 +152,7 @@ def evaluate_predictors(
     suite: BenchmarkSuite,
     predictors: Sequence[Predictor],
     machine_name: str = "",
-    workers: int = 0,
     cache: Optional[MeasurementCache] = None,
-    dispatcher: Optional[ParallelDispatcher] = None,
 ) -> EvaluationResult:
     """Run every predictor on every block of a suite against native execution.
 
@@ -163,19 +162,13 @@ def evaluate_predictors(
 
     Parameters
     ----------
-    workers:
-        Worker processes for the native measurements (``0``/``1`` =
-        in-process, the historical behaviour).  Ignored when an explicit
-        ``dispatcher`` is given.
     cache:
         Optional persistent measurement cache; re-running the harness (or
         running it after a PALMED run that used the same cache and backend)
         then skips every already-measured kernel.
     """
-    if dispatcher is None:
-        dispatcher = ParallelDispatcher(workers=workers)
     blocks = list(suite)
-    natives = _native_ipcs(backend, blocks, dispatcher, cache)
+    natives = _native_ipcs(backend, blocks, cache)
     records: List[BlockRecord] = [
         BlockRecord(block=block, native_ipc=native_ipc)
         for block, native_ipc in zip(blocks, natives)

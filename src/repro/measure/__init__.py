@@ -1,18 +1,15 @@
-"""Batched, parallel, cached microbenchmark measurement.
+"""Batched, cached microbenchmark measurement.
 
-This package is the measurement client of the shared execution substrate:
-the PALMED pipeline's benchmark demand is batched (``measure_batch``),
-fanned out over worker processes and memoized across runs
-(:class:`MeasurementCache`), while preserving the exact values — and thus
-the exact inferred mapping — of the sequential scalar path:
+The PALMED pipeline's benchmark demand is batched (``measure_batch``),
+measured in-process and memoized across runs (:class:`MeasurementCache`),
+while preserving the exact values — and thus the exact inferred mapping —
+of the sequential scalar path:
 
 * :class:`MeasurementCache` — content-keyed in-memory + on-disk JSON store;
   keys combine a kernel fingerprint with a backend fingerprint (machine
   model, noise parameters), so model or seed changes invalidate cleanly.
-* :class:`ParallelDispatcher` — a thin measurement-specific client of
-  :func:`repro.runtime.run_lanes` (the lane-pinned fan-out also used by
-  the fleet runner), adding only the backend semantics; ``workers <= 1``
-  measures in-process.
+* :class:`ParallelDispatcher` — measures one batch in the calling process
+  and opens one ``measure.batch`` telemetry span per batch.
 * :mod:`repro.measure.fingerprint` — canonical kernel keys and machine /
   backend content hashes.
 

@@ -17,8 +17,8 @@ distinct benchmarks were executed.
 The runner is also the integration point of the batched measurement layer
 (:mod:`repro.measure`): :meth:`BenchmarkRunner.ipc_batch` deduplicates a
 batch of kernels, serves what it can from the persistent
-:class:`~repro.measure.MeasurementCache`, and hands the rest to a
-:class:`~repro.measure.ParallelDispatcher` in one shot.  The scalar
+:class:`~repro.measure.MeasurementCache`, and measures the rest in one
+batch on the backend.  The scalar
 :meth:`BenchmarkRunner.ipc` is a batch of size one, so both paths yield
 bitwise-identical values.
 """
@@ -89,34 +89,22 @@ class BenchmarkRunner:
     backend:
         The measurement backend ("the hardware").
     config:
-        Pipeline parameters; ``config.parallelism`` sizes the default
-        dispatcher and ``config.cache_path`` the default persistent cache.
-    cache:
-        Persistent measurement cache shared across runs.  ``None`` builds
-        one from ``config.cache_path`` (or disables persistence).
-    dispatcher:
-        Batch-execution strategy.  ``None`` builds one from
-        ``config.parallelism``.
+        Pipeline parameters; ``config.cache_path`` names the persistent
+        measurement cache shared across runs (``None``: no persistence).
     """
 
     def __init__(
         self,
         backend: MeasurementBackend,
         config: Optional[PalmedConfig] = None,
-        cache: Optional[MeasurementCache] = None,
-        dispatcher: Optional[ParallelDispatcher] = None,
     ) -> None:
         self.backend = backend
         self.config = config if config is not None else PalmedConfig()
-        if cache is None and self.config.cache_path is not None:
-            cache = MeasurementCache(self.config.cache_path)
-        self.cache = cache
-        self.dispatcher = (
-            dispatcher
-            if dispatcher is not None
-            else ParallelDispatcher(workers=self.config.parallelism)
+        cache_path = self.config.cache_path
+        self.cache = MeasurementCache(cache_path) if cache_path is not None else None
+        self._fingerprint = (
+            backend_fingerprint(backend) if cache_path is not None else None
         )
-        self._fingerprint = backend_fingerprint(backend) if cache is not None else None
         self._ipc_cache: Dict[Microkernel, float] = {}
         #: IPC keyed by the kernel actually handed to the backend
         #: (post-quantization); several requested kernels may share one.
@@ -137,10 +125,8 @@ class BenchmarkRunner:
 
         The batch is deduplicated, served from the runner's memo and the
         persistent cache where possible, and the remaining kernels are
-        measured in one dispatcher call (sequentially or over a process
-        pool, per the configuration).  Values are bitwise identical to the
-        scalar :meth:`ipc` path regardless of batching, worker count or
-        cache state.
+        measured in one dispatcher call.  Values are bitwise identical to
+        the scalar :meth:`ipc` path regardless of batching or cache state.
         """
         kernels = list(kernels)
         to_measure: List[Microkernel] = []
@@ -161,7 +147,7 @@ class BenchmarkRunner:
             to_measure.append(measured_kernel)
 
         if to_measure:
-            values = self.dispatcher.measure(self.backend, to_measure)
+            values = ParallelDispatcher().measure(self.backend, to_measure)
             for measured_kernel, value in zip(to_measure, values):
                 self._measured_ipc[measured_kernel] = value
                 self._num_measured += 1
@@ -195,8 +181,8 @@ class BenchmarkRunner:
         """Warm the runner's memo for a set of kernels in one batch.
 
         Used by the pipeline stages to front-load their measurement demand
-        (and thus benefit from parallel dispatch) before entering code that
-        consumes measurements one at a time.
+        as one measured batch before entering code that consumes
+        measurements one at a time.
         """
         self.ipc_batch(list(kernels))
 

@@ -28,14 +28,14 @@ Execution model
 The phase splits into a *measurement* half and a *solving* half:
 
 * every saturating benchmark and singleton is prefetched in one batch
-  through the measurement layer (parallel dispatch + persistent cache,
-  per ``PalmedConfig.parallelism`` / ``cache_path``);
+  through the measurement layer (in-process, plus the persistent cache
+  named by ``PalmedConfig.cache_path``);
 * the per-instruction weight problems are then solved one after the
   other, in instruction-name order, in the calling process.  Each takes
   well under a millisecond, less than a worker process costs to start.
 
 The closed form depends on the problem's data only, and the measurement
-layer returns the same values for every worker count (see
+layer returns the same values batched, scalar or cached (see
 ``tests/test_measure_parallel.py``), so the inferred usages are
 bitwise-deterministic.  :class:`CompleteMappingOutcome` reports the
 measurement/solve wall clocks separately so the pipeline can keep the
@@ -227,8 +227,9 @@ def _prefetch_lpaux_benchmarks(
 
     The LPAUX phase needs ``|instructions| × |resources|`` saturating
     benchmarks plus the singletons; issuing them as one batch lets the
-    measurement layer parallelize and consult the persistent cache, while
-    the solving half then reads everything from the runner's memo.  The
+    measurement layer consult the persistent cache and measure the rest at
+    once, while the solving half then reads everything from the runner's
+    memo.  The
     measured set (and every value) is exactly what the one-at-a-time path
     would have produced.
     """

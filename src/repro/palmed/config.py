@@ -76,13 +76,6 @@ class PalmedConfig:
         Inferred usages below this value are dropped from the final mapping.
     milp_time_limit:
         Time limit (seconds) handed to the MILP solver for LP1/LP2.
-    parallelism:
-        Number of lane processes used by the batched measurement layer
-        (:class:`repro.measure.ParallelDispatcher`).  ``0`` or ``1`` keeps
-        every measurement in-process (the seed behaviour); larger values
-        split each benchmark batch into one chunk per lane, even on one
-        CPU (measurement may be latency-bound).  The inferred mapping is
-        identical for every setting (see ``tests/test_measure_parallel.py``).
     cache_path:
         Optional path of the persistent on-disk measurement cache
         (:class:`repro.measure.MeasurementCache`).  ``None`` disables
@@ -117,13 +110,10 @@ class PalmedConfig:
     include_singleton_in_lpaux: bool = True
     edge_threshold: float = 1e-3
     milp_time_limit: float = 120.0
-    parallelism: int = 0
     cache_path: Optional[str] = None
     telemetry: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.parallelism < 0:
-            raise ValueError("parallelism must be non-negative")
         if self.n_basic is not None and self.n_basic < 2:
             raise ValueError("n_basic must be at least 2 (or None for automatic sizing)")
         if self.n_basic_cap < 2:
@@ -142,7 +132,7 @@ class PalmedConfig:
 
         The stage-graph checkpoints (:mod:`repro.pipeline`) key each stage on
         the hash of *only the fields that stage declares it reads*, so editing
-        an unrelated knob (say ``parallelism``) never invalidates a stored
+        an unrelated knob (say ``cache_path``) never invalidates a stored
         benchmarking checkpoint.  ``fields=None`` hashes every field.
 
         Values are serialized with ``repr`` (floats round-trip exactly) and

@@ -17,11 +17,9 @@ and zero LP solves (see ``tests/test_resume.py``).
 
 All wall-clock accounting uses a monotonic clock; ``benchmarking_time``
 vs ``lp_time`` keeps the paper's Table II split (LPAUX *measurements* are
-benchmarking, not LP solving).  Measurement batches parallelize over the
-lane-pinned fan-out, :func:`repro.runtime.run_lanes`
-(``PalmedConfig.parallelism``), and ``PalmedConfig.cache_path`` persists
-raw measurements across runs — neither knob affects inferred mappings or
-checkpoint validity.
+benchmarking, not LP solving).  Measurement batches run in-process, and
+``PalmedConfig.cache_path`` persists raw measurements across runs —
+affecting neither inferred mappings nor checkpoint validity.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Sequence
 
 from repro.isa.instruction import Instruction
-from repro.measure import MeasurementCache, ParallelDispatcher
 from repro.palmed.benchmarks import BenchmarkRunner
 from repro.palmed.config import PalmedConfig
 from repro.palmed.core_mapping import resource_label
@@ -54,12 +51,6 @@ class Palmed:
     machine_name:
         Label used in the statistics (defaults to the backend's machine name
         when available).
-    cache:
-        Persistent measurement cache; ``None`` builds one from
-        ``config.cache_path`` (no persistence when that is also unset).
-    dispatcher:
-        Measurement batch executor; ``None`` builds one sized by
-        ``config.parallelism``.
     registry:
         Optional :class:`~repro.artifacts.ArtifactRegistry`: every stage
         output is persisted as a content-hashed checkpoint.  ``None`` (the
@@ -80,17 +71,13 @@ class Palmed:
         instructions: Sequence[Instruction],
         config: Optional[PalmedConfig] = None,
         machine_name: Optional[str] = None,
-        cache: Optional[MeasurementCache] = None,
-        dispatcher: Optional[ParallelDispatcher] = None,
         registry: Optional["ArtifactRegistry"] = None,
         resume: bool = False,
         force_stages: Iterable[str] = (),
     ) -> None:
         self.backend = backend
         self.config = config if config is not None else PalmedConfig()
-        self.runner = BenchmarkRunner(
-            backend, self.config, cache=cache, dispatcher=dispatcher
-        )
+        self.runner = BenchmarkRunner(backend, self.config)
         self.instructions: List[Instruction] = sorted(set(instructions), key=lambda i: i.name)
         if machine_name is None:
             machine = getattr(backend, "machine", None)

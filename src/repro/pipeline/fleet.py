@@ -3,8 +3,7 @@
 A production PALMED deployment characterizes a *fleet* — every machine
 model in the lab — and serves predictions from the resulting artifact
 registry.  :class:`FleetRunner` fans whole stage-graph runs out over
-:func:`repro.runtime.run_lanes` (the fan-out the measurement batches
-use, which a fleet lane may nest): machine ``i`` runs on
+:func:`repro.runtime.run_lanes`: machine ``i`` runs on
 lane ``i % workers``, and each lane process runs the full checkpointed
 pipeline for its machines and saves both the per-stage checkpoints and
 the final mapping artifact into a shared registry directory.
@@ -121,10 +120,8 @@ class FleetRunner:
         Directory of the shared artifact registry (stage checkpoints and
         final mapping artifacts for every machine).
     config:
-        Pipeline configuration applied to every machine.  Per-machine
-        measurement/LP parallelism is usually left at ``0`` here — the
-        fleet already fans out at machine granularity, and nested lanes
-        multiply processes.
+        Pipeline configuration applied to every machine; each machine's
+        measurements and LP solves run inside its lane.
     workers:
         Lane processes for the machine fan-out (``0``/``1`` = sequential
         in-process).  Machine ``i`` always runs on lane ``i % workers``;

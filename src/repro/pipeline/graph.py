@@ -13,7 +13,7 @@ Invalidation is purely content-driven: a stage's input hash covers the
 machine fingerprint, the configuration fields the stage declares it reads
 and the upstream stages' output hashes.  Changing an upstream result or a
 relevant config field changes the hash and the stage re-runs; changing
-anything else (worker counts, cache paths, unrelated knobs) does not.
+anything else (cache paths, telemetry, unrelated knobs) does not.
 ``force`` re-runs named stages unconditionally — but since output hashes
 exclude wall clocks, a forced re-run that reproduces the same output
 leaves every downstream checkpoint valid (incremental recomputation).

@@ -406,7 +406,7 @@ class CompleteMappingStage(Stage):
         "quantize_coefficients",
         "edge_threshold",
     )
-    # Execution knobs (parallelism, cache_path) are deliberately absent:
+    # Execution knobs (cache_path, telemetry) are deliberately absent:
     # they change how the measurements are *obtained*, never which
     # mapping comes out, so flipping them must not invalidate an existing
     # checkpoint of this stage.

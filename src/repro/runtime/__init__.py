@@ -1,13 +1,13 @@
-"""Shared parallel execution substrate.
+"""Shared execution substrate.
 
 Two primitives, two workload shapes:
 
 * :func:`run_lanes` — the *offline* substrate: fans a finite list of
-  chunks (:func:`split_chunks`) over a :class:`LanePool` of long-lived,
-  lane-pinned worker processes, and degrades to running them in-process
+  chunks over a :class:`LanePool` of long-lived, lane-pinned worker
+  processes, and degrades to running them in-process
   (:func:`run_chunks_in_process`) when lane processes are unavailable.
-  Microbenchmark measurement (:mod:`repro.measure`) and fleet
-  characterization (:mod:`repro.pipeline.fleet`) fan out through it.
+  Fleet characterization (:mod:`repro.pipeline.fleet`) fans out through
+  it, one machine per chunk.
 * :class:`WorkerLane` — the *online* substrate: a managed daemon thread
   for unbounded request streams that must share in-process state.  The
   serving layer (:mod:`repro.serving`) runs its micro-batching schedulers
@@ -19,7 +19,6 @@ from repro.runtime.lane_pool import (
     LanePoolError,
     run_chunks_in_process,
     run_lanes,
-    split_chunks,
 )
 from repro.runtime.lanes import WorkerLane
 
@@ -29,5 +28,4 @@ __all__ = [
     "WorkerLane",
     "run_chunks_in_process",
     "run_lanes",
-    "split_chunks",
 ]

@@ -1,16 +1,15 @@
 """Lane-pinned worker processes: the one offline fan-out.
 
-Both offline fan-outs in the repository — microbenchmark measurement
-batches (:mod:`repro.measure`) and fleet characterization
-(:mod:`repro.pipeline.fleet`) — go through :func:`run_lanes`:
+Fleet characterization (:mod:`repro.pipeline.fleet`) fans whole machines
+out through :func:`run_lanes`; it is the only fan-out left, since
+measurement and the LP solves run in the calling process.
 
 * **Lane pinning** — chunk ``i`` is assigned to lane ``i % lanes`` ahead
   of time; every lane executes its chunks strictly in submission order.
   Which lane ran which chunk is planned, never scheduled.
 * **Persistent lanes** — each lane of a :class:`LanePool` is one
   long-lived worker process that receives ``(func, context)`` once, then
-  only ``(chunk)`` payloads.  Lanes are not daemonic: a fleet lane runs a
-  whole pipeline, which may start lanes of its own.
+  only ``(chunk)`` payloads.
 * **In-process fallback** — :func:`run_chunks_in_process` executes the
   chunks in order in the current process.  Chunk functions are pure
   functions of ``(context, chunk)``, so both paths return the same
@@ -26,7 +25,6 @@ values and re-raise in the parent with their original type — even an
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import pickle
 import threading
@@ -43,19 +41,6 @@ _LANE_ERRORS = (OSError, EOFError, pickle.PicklingError, TypeError, AttributeErr
 
 class LanePoolError(RuntimeError):
     """A lane process could not be started or died mid-run."""
-
-
-def split_chunks(items: Sequence, lanes: int) -> List[List]:
-    """One contiguous chunk per lane (``0`` or ``1`` lanes: one chunk).
-
-    The layout depends on the arguments only — never on effective workers,
-    host sizing or scheduling.
-    """
-    chunk_size = max(1, math.ceil(len(items) / max(1, lanes)))
-    return [
-        list(items[start : start + chunk_size])
-        for start in range(0, len(items), chunk_size)
-    ]
 
 
 def run_chunks_in_process(

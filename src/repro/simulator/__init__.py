@@ -4,7 +4,7 @@ On real hardware PALMED measures elapsed cycles (``CPU_CLK_UNHALTED``) of
 generated microbenchmarks.  The reproduction replaces the hardware with a
 ground-truth :class:`~repro.machines.Machine` and exposes the same narrow
 interface — *give me the IPC of this kernel*, scalar (``ipc``/``cycles``)
-or vectorized (``measure_batch``, consumed by the batched/parallel/cached
+or vectorized (``measure_batch``, consumed by the batched/cached
 measurement layer in :mod:`repro.measure`) — through
 :class:`MeasurementBackend` implementations:
 

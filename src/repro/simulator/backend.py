@@ -4,9 +4,9 @@ Backends expose both a scalar path (:meth:`MeasurementBackend.ipc` /
 :meth:`MeasurementBackend.cycles`) and a vectorized
 :meth:`MeasurementBackend.measure_batch` used by the batched measurement
 layer (:mod:`repro.measure`).  The batch path is *required* to return
-bitwise-identical values to the scalar path — the parallel dispatcher and
-the persistent cache rely on it to keep inferred mappings independent of
-how the measurements were scheduled.
+bitwise-identical values to the scalar path — the batched runner and the
+persistent cache rely on it to keep inferred mappings independent of how
+the measurements were obtained.
 """
 
 from __future__ import annotations

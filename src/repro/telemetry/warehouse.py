@@ -80,8 +80,8 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%S%z")
 
 
-def _connect(path: Union[str, Path]) -> sqlite3.Connection:
-    connection = sqlite3.connect(str(path))
+def _connect(database: str, uri: bool = False) -> sqlite3.Connection:
+    connection = sqlite3.connect(database, uri=uri)
     connection.executescript(_SCHEMA)
     return connection
 
@@ -164,7 +164,7 @@ class TelemetryWriter:
     def _run(self) -> None:
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            connection = _connect(self.path)
+            connection = _connect(str(self.path))
         except Exception as error:  # noqa: BLE001 - surfaced at close()
             self._failure = error
             self._drain_to_nowhere()
@@ -312,11 +312,17 @@ def telemetry_session(
 
 
 class Warehouse:
-    """Read-side access to a telemetry database."""
+    """Read-side access to a telemetry database.
+
+    The file must already exist (``mode=rw``): a mistyped path raises
+    ``sqlite3.OperationalError`` instead of creating an empty warehouse.
+    """
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        self._connection = _connect(self.path)
+        self._connection = _connect(
+            self.path.resolve().as_uri() + "?mode=rw", uri=True
+        )
         self._connection.row_factory = sqlite3.Row
 
     def close(self) -> None:

@@ -16,7 +16,6 @@ class TestParser:
     def test_defaults(self):
         args = build_parser().parse_args([])
         assert args.machine == "toy"
-        assert args.parallelism == 0
         assert not any(name.startswith("lp_") for name in vars(args))
         assert args.cache is None
         assert args.json is None
@@ -57,7 +56,6 @@ class TestParser:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["characterize", "--parallelism", "-1", "--artifacts", "DIR"],
             ["fleet", "--machines", "toy", "--workers", "-1", "--artifacts", "DIR"],
             ["fleet", "--machines", "skl", "--isa-size", "0", "--artifacts", "DIR"],
             ["characterize", "--machine", "skl", "--isa-size", "0",
@@ -65,7 +63,7 @@ class TestParser:
             ["predict", "--blocks", "0", "--artifacts", "DIR"],
             ["evaluate", "--blocks", "0", "--artifacts", "DIR"],
         ],
-        ids=["parallelism", "workers", "fleet-isa-size", "isa-size", "predict-blocks",
+        ids=["workers", "fleet-isa-size", "isa-size", "predict-blocks",
              "evaluate-blocks"],
     )
     def test_out_of_range_counts_are_usage_errors(self, argv, capsys):
@@ -85,6 +83,20 @@ class TestParser:
             build_command_parser().parse_args(
                 ["characterize", *flag, "--artifacts", "DIR"]
             )
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["characterize", "--parallelism", "2", "--artifacts", "DIR"],
+            ["evaluate", "--workers", "2", "--artifacts", "DIR"],
+        ],
+        ids=["characterize-parallelism", "evaluate-workers"],
+    )
+    def test_measurement_lane_flags_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_command_parser().parse_args(argv)
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -113,7 +125,6 @@ class TestMain:
         assert payload["stats"]["machine_name"]
         assert payload["stats"]["num_instructions_mapped"] > 0
         assert payload["stats"]["lp_solves"] > 0
-        assert payload["config"]["parallelism"] == 0
         assert not any(key.startswith("lp_") for key in payload["config"])
         assert payload["mapping"]["resources"]
 

@@ -39,6 +39,9 @@ class TestConfigValidation:
             PalmedConfig(lp_chunk_size=2)
         with pytest.raises(TypeError):
             PalmedConfig(lp_warm_start=False)
+        # Measurement runs in-process too: no measurement lanes.
+        with pytest.raises(TypeError):
+            PalmedConfig(parallelism=2)
 
     def test_max_resources_validation(self):
         with pytest.raises(ValueError):

@@ -55,31 +55,20 @@ class TestFleetRunner:
         assert len(registry.entries()) == 2
 
     def test_parallel_fleet_matches_sequential(self, sequential_outcomes, tmp_path):
-        outcomes, _ = sequential_outcomes
+        outcomes, root = sequential_outcomes
         runner = FleetRunner(str(tmp_path / "fleet-par"), fleet_config(), workers=2)
-        parallel = runner.characterize(SPECS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no in-process fallback
+            parallel = runner.characterize(SPECS)
         assert len(parallel) == len(outcomes)
+        sequential_registry = ArtifactRegistry(root)
+        parallel_registry = ArtifactRegistry(tmp_path / "fleet-par")
         for seq, par in zip(outcomes, parallel):
             assert par.machine_fingerprint == seq.machine_fingerprint
             assert par.stats.deterministic_dict() == seq.stats.deterministic_dict()
-
-    def test_nested_lanes_match_sequential(self, sequential_outcomes, tmp_path):
-        # Fleet lanes start measurement lanes of their own, which only
-        # works because lane processes are not daemonic.
-        outcomes, root = sequential_outcomes
-        config = dataclasses.replace(fleet_config(), parallelism=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            nested = FleetRunner(
-                str(tmp_path / "fleet-nested"), config, workers=2
-            ).characterize(SPECS)
-        sequential = ArtifactRegistry(root)
-        parallel = ArtifactRegistry(tmp_path / "fleet-nested")
-        for seq, par in zip(outcomes, nested, strict=True):
-            assert par.machine_fingerprint == seq.machine_fingerprint
             assert (
-                parallel.load(par.machine_fingerprint).mapping.to_dict()
-                == sequential.load(seq.machine_fingerprint).mapping.to_dict()
+                parallel_registry.load(par.machine_fingerprint).mapping.to_dict()
+                == sequential_registry.load(seq.machine_fingerprint).mapping.to_dict()
             )
 
     def test_resubmitted_fleet_resumes_from_checkpoints(self, sequential_outcomes):

@@ -2,8 +2,8 @@
 
 :class:`repro.runtime.LanePool` and the in-process fallback
 :func:`repro.runtime.run_chunks_in_process` must be interchangeable: same
-results in chunk order.  Measurement batches and fleet runs rely on that
-equivalence through :func:`repro.runtime.run_lanes`, so the tests here
+results in chunk order.  Fleet runs rely on that equivalence through
+:func:`repro.runtime.run_lanes`, so the tests here
 compare the two paths directly, and check that the pool runs chunk ``i``
 on lane ``i % lanes``.
 """
@@ -21,7 +21,6 @@ from repro.runtime import (
     LanePoolError,
     run_chunks_in_process,
     run_lanes,
-    split_chunks,
 )
 
 
@@ -118,14 +117,6 @@ class TestLanePool:
         pool.run(_square_chunk, [[1]], "ctx")
         pool.close()
         pool.close()
-
-
-class TestSplitChunks:
-    def test_one_contiguous_chunk_per_lane_or_fixed_size(self):
-        items = list(range(7))
-        assert split_chunks(items, 3) == [[0, 1, 2], [3, 4, 5], [6]]
-        assert split_chunks(items, 0) == [items]
-        assert split_chunks([], 4) == []
 
 
 class TestRunLanes:

@@ -1,18 +1,16 @@
-"""Differential tests for the batched/parallel measurement layer.
+"""Differential tests for the batched measurement layer.
 
-The contract under test: *how* measurements are executed — scalar loop,
-batched, chunked over worker processes, served from a persistent cache —
-must never change a single bit of the values, and therefore never change an
-inferred mapping.  Every test here compares an alternative execution
-strategy against the plain sequential path with ``==`` on floats (bitwise
-equality), not with tolerances.
+The contract under test: *how* measurements are obtained — scalar loop,
+batched, served from a persistent cache — must never change a single bit
+of the values, and therefore never change an inferred mapping.  Every test
+here compares an alternative path against the plain sequential one with
+``==`` on floats (bitwise equality), not with tolerances.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
-import warnings
 
 import pytest
 
@@ -24,12 +22,12 @@ from repro import (
     PortModelBackend,
     build_toy_machine,
 )
+from repro.evaluation import evaluate_predictors
 from repro.isa.instruction import Extension, Instruction, InstructionKind
-from repro.measure import MeasurementCache, ParallelDispatcher
+from repro.measure import ParallelDispatcher
 from repro.palmed import Palmed, PalmedConfig
 from repro.palmed.benchmarks import BenchmarkRunner
-
-WORKER_COUNTS = (0, 1, 2, 4)
+from repro.workloads import BasicBlock, BenchmarkSuite
 
 
 class _OSErrorBackend(PortModelBackend):
@@ -83,70 +81,37 @@ class TestMeasureBatch:
 
 
 class TestParallelDispatcher:
-    """Worker count never changes results or their order."""
+    """Backend failures reach the caller; unmeasurable kernels are marked."""
 
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_all_worker_counts_bitwise_identical(self, toy_machine, workers):
-        kernels = _random_kernels(toy_machine, count=30)
-        reference = PortModelBackend(toy_machine).measure_batch(kernels)
-        dispatched = ParallelDispatcher(workers=workers).measure(
-            PortModelBackend(toy_machine), kernels
-        )
-        assert dispatched == reference
-
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_measure_safe_marks_unknown_instructions(self, toy_machine, workers):
+    @pytest.mark.parametrize("bad_index", [0, 2])
+    def test_measure_safe_marks_unknown_instructions(self, toy_machine, bad_index):
+        # The unmeasurable kernel heads the batch or sits inside it.
         alien = Instruction("ALIEN_OP", InstructionKind.INT_ALU, Extension.BASE)
         kernels = _random_kernels(toy_machine, count=6)
         bad = Microkernel.single(alien)
-        mixed = kernels[:3] + [bad] + kernels[3:]
-        values = ParallelDispatcher(workers=workers).measure_safe(
+        mixed = kernels[:bad_index] + [bad] + kernels[bad_index:]
+        values = ParallelDispatcher().measure_safe(
             PortModelBackend(toy_machine), mixed
         )
-        assert values[3] is None
+        assert values[bad_index] is None
         expected = PortModelBackend(toy_machine).measure_batch(kernels)
         assert [v for v in values if v is not None] == expected
 
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_measure_propagates_unknown_instruction(self, toy_machine, workers):
-        # A backend error inside a worker must re-raise in the caller with
-        # its original type — never be misread as "lanes unavailable" and
-        # silently retried on the sequential path.
+    @pytest.mark.parametrize("bad_index", [0, 2])
+    def test_measure_propagates_unknown_instruction(self, toy_machine, bad_index):
+        # An unknown instruction is the measurement's own failure: it
+        # re-raises in the caller with its original type, wherever it
+        # sits in the batch.
         alien = Instruction("ALIEN_OP", InstructionKind.INT_ALU, Extension.BASE)
+        kernels = _random_kernels(toy_machine, count=4)
+        kernels.insert(bad_index, Microkernel.single(alien))
         with pytest.raises(KeyError):
-            ParallelDispatcher(workers=workers).measure(
-                PortModelBackend(toy_machine), [Microkernel.single(alien)]
-            )
+            ParallelDispatcher().measure(PortModelBackend(toy_machine), kernels)
 
     def test_measure_propagates_backend_oserror(self, toy_machine):
-        # OSError is also what a broken lane pipe raises, but one raised
-        # by the backend is the measurement's own failure: it must reach
-        # the caller without the "lanes unavailable" fallback re-running
-        # the batch in-process.
         kernels = _random_kernels(toy_machine, count=8)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(OSError, match="measurement device unavailable"):
-                ParallelDispatcher(workers=2).measure(
-                    _OSErrorBackend(toy_machine), kernels
-                )
-        fallbacks = [
-            w for w in caught if "parallel execution unavailable" in str(w.message)
-        ]
-        assert fallbacks == []
-
-    def test_noisy_backend_parallel_identical(self, toy_machine):
-        noise = MeasurementNoise(relative_stddev=0.05, quantization=0.01, seed=11)
-        kernels = _random_kernels(toy_machine, count=16)
-        reference = PortModelBackend(toy_machine, noise=noise).measure_batch(kernels)
-        parallel = ParallelDispatcher(workers=3).measure(
-            PortModelBackend(toy_machine, noise=noise), kernels
-        )
-        assert parallel == reference
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelDispatcher(workers=-1)
+        with pytest.raises(OSError, match="measurement device unavailable"):
+            ParallelDispatcher().measure(_OSErrorBackend(toy_machine), kernels)
 
 
 class TestRunnerBatchPath:
@@ -177,19 +142,9 @@ class TestRunnerBatchPath:
         assert runner.num_benchmarks == 1
         assert backend.measurement_count == 1
 
-    @pytest.mark.parametrize("workers", [2])
-    def test_parallel_runner_equals_sequential(self, toy_machine, workers):
-        kernels = _random_kernels(toy_machine, count=25)
-        sequential = BenchmarkRunner(PortModelBackend(toy_machine)).ipc_batch(kernels)
-        parallel_runner = BenchmarkRunner(
-            PortModelBackend(toy_machine),
-            PalmedConfig(parallelism=workers),
-        )
-        assert parallel_runner.ipc_batch(kernels) == sequential
-
 
 class TestPipelineDifferential:
-    """The acceptance check: execution strategy never changes PalmedResult."""
+    """The acceptance check: the measurement cache never changes PalmedResult."""
 
     @pytest.fixture(scope="class")
     def toy_setup(self):
@@ -208,9 +163,7 @@ class TestPipelineDifferential:
     ):
         machine, config = toy_setup
         cache_path = tmp_path_factory.mktemp("measure") / "toy.json"
-        cached_config = dataclasses.replace(
-            config, parallelism=2, cache_path=str(cache_path)
-        )
+        cached_config = dataclasses.replace(config, cache_path=str(cache_path))
 
         cold = Palmed(
             PortModelBackend(machine),
@@ -235,3 +188,31 @@ class TestPipelineDifferential:
         for kernel in _random_kernels(machine, count=10, seed=3):
             if all(warm.supports(inst) for inst in kernel.instructions):
                 assert warm.predict_ipc(kernel) == sequential_result.predict_ipc(kernel)
+
+
+class TestLaneParametersRefused:
+    """Measurement runs in-process: the removed lane knobs raise, not pass."""
+
+    def test_dispatcher_and_cache_parameters_refused(self, toy_machine):
+        backend = PortModelBackend(toy_machine)
+        instructions = toy_machine.benchmarkable_instructions()
+        with pytest.raises(TypeError):
+            Palmed(backend, instructions, dispatcher=None)
+        with pytest.raises(TypeError):
+            Palmed(backend, instructions, cache=None)
+        with pytest.raises(TypeError):
+            BenchmarkRunner(backend, dispatcher=None)
+        with pytest.raises(TypeError):
+            BenchmarkRunner(backend, cache=None)
+        with pytest.raises(TypeError):
+            ParallelDispatcher(workers=2)
+
+    def test_evaluation_workers_refused(self, toy_machine):
+        kernel = _random_kernels(toy_machine, count=1)[0]
+        suite = BenchmarkSuite("one-block", [BasicBlock("b0", kernel)])
+        with pytest.raises(TypeError):
+            evaluate_predictors(PortModelBackend(toy_machine), suite, [], workers=2)
+        with pytest.raises(TypeError):
+            evaluate_predictors(
+                PortModelBackend(toy_machine), suite, [], dispatcher=None
+            )

@@ -144,13 +144,7 @@ class TestFullyWarmRun:
 
 
 class TestChunkedConfigResume:
-    """A run with measurement lanes checkpoints and resumes with exact counters."""
-
-    @staticmethod
-    def chunked_config() -> PalmedConfig:
-        import dataclasses
-
-        return dataclasses.replace(fast_config(), parallelism=2)
+    """An interrupted run resumes with exact counters; execution knobs hit."""
 
     @staticmethod
     def run(machine, registry, config, resume=False, stop_after=None):
@@ -169,7 +163,7 @@ class TestChunkedConfigResume:
         return None
 
     def test_chunked_run_resumes_with_exact_counters(self, machine, tmp_path):
-        config = self.chunked_config()
+        config = fast_config()
         cold = self.run(machine, ArtifactRegistry(tmp_path / "cold"), config)
         assert cold.stats.lp_solves > 0
 
@@ -186,15 +180,14 @@ class TestChunkedConfigResume:
     def test_execution_knobs_do_not_invalidate_checkpoints(self, machine, tmp_path):
         import dataclasses
 
-        config = self.chunked_config()
+        config = fast_config()
         registry = ArtifactRegistry(tmp_path / "knobs")
         self.run(machine, registry, config)
-        # Flip every execution knob: they change how measurements are
-        # scheduled and where results go, never what is computed, so all
-        # five stages must still hit.
+        # Flip every execution knob: they change where measurements and
+        # traces go, never what is computed, so all five stages must
+        # still hit.
         flipped = dataclasses.replace(
             config,
-            parallelism=0,
             cache_path=str(tmp_path / "measurements.json"),
             telemetry=str(tmp_path / "telemetry.sqlite"),
         )

@@ -63,8 +63,8 @@ class TestConfigHash:
     def test_unrelated_field_change_keeps_hash(self):
         """Fields outside the selection must not move the digest."""
         base = PalmedConfig()
-        changed = dataclasses.replace(base, parallelism=4,
-                                      cache_path="/tmp/somewhere.json")
+        changed = dataclasses.replace(base, cache_path="/tmp/somewhere.json",
+                                      telemetry="/tmp/somewhere.sqlite")
         fields = ["epsilon", "min_ipc", "m_repeat"]
         assert base.config_hash(fields) == changed.config_hash(fields)
 
@@ -169,10 +169,19 @@ class TestInvalidation:
         result = palmed.run()
         return result.stats.stage_checkpoint_hits, result
 
-    def test_unrelated_config_change_hits_every_stage(self, characterized, toy_machine):
-        """parallelism/cache knobs are read by no stage: all five hit."""
+    def test_unrelated_config_change_hits_every_stage(
+        self, characterized, toy_machine, tmp_path
+    ):
+        """cache/telemetry knobs are read by no stage: all five hit."""
         registry, _ = characterized
-        hits, _ = self._hits(toy_machine, registry, fast_config(parallelism=2))
+        hits, _ = self._hits(
+            toy_machine,
+            registry,
+            fast_config(
+                cache_path=str(tmp_path / "measurements.json"),
+                telemetry=str(tmp_path / "telemetry.sqlite"),
+            ),
+        )
         assert hits == {name: True for name in hits}
 
     def test_selection_field_reruns_only_downstream(self, characterized, toy_machine):

@@ -468,11 +468,23 @@ class TestStatsCli:
     def test_bad_query_or_unopenable_db_is_an_error(
         self, tmp_path, capsys, db_name, argv
     ):
+        # The bad query runs against a real warehouse, so it fails on the
+        # SQL and not on opening the file.
+        with telemetry_session(tmp_path / "wh.sqlite", kind="unit"):
+            pass
         assert self._main("stats", "--db", str(tmp_path / db_name), *argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    def test_missing_warehouse_is_an_error_and_not_created(self, tmp_path, capsys):
+        typo = tmp_path / "typo.sqlite"
+        assert self._main("stats", "--db", str(typo), "runs") == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+        assert not typo.exists()
 
     @pytest.mark.parametrize(
         "argv",
