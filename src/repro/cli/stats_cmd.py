@@ -15,9 +15,10 @@ The read side of :mod:`repro.telemetry`: point it at the sqlite file a
 * ``... stats --db palmed.sqlite --sql 'SELECT ...'`` — anything else.
 
 Output is a text table by default, one JSON object with
-``columns``/``rows`` under ``--json``.  A warehouse that cannot be
-opened or a query sqlite rejects is reported as ``error: ...`` with
-exit 2, like any other bad command-line input.
+``columns``/``rows`` under ``--json``.  The warehouse is opened
+read-only: a file that cannot be opened or holds no warehouse, and a
+query sqlite rejects (a write included), are reported as ``error: ...``
+with exit 2, like any other bad command-line input.
 """
 
 from __future__ import annotations
@@ -110,8 +111,8 @@ def register(subparsers) -> None:
         "--sql",
         metavar="QUERY",
         default=None,
-        help="run this SQL instead of a canned report (read-only use "
-        "intended; tables: runs, spans, metrics)",
+        help="run this SQL instead of a canned report (read-only; "
+        "tables: runs, spans, metrics)",
     )
     stats.add_argument(
         "--json",

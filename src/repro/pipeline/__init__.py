@@ -13,8 +13,8 @@ into an explicit *stage graph*:
   checkpoint through the :class:`~repro.artifacts.ArtifactRegistry`, and
   on re-run skips any stage whose input hash matches a stored checkpoint
   (bitwise-identical results to a cold run);
-* :mod:`repro.pipeline.fleet` — :class:`FleetRunner`: whole stage graphs
-  fanned over lane-pinned worker processes (:func:`repro.runtime.run_lanes`)
+* :mod:`repro.pipeline.fleet` — :class:`FleetRunner`: one whole stage
+  graph per machine on a :class:`concurrent.futures.ProcessPoolExecutor`
   to characterize many machines concurrently into one shared registry.
 
 :class:`repro.palmed.Palmed` remains the user-facing driver — now a thin

@@ -2,27 +2,30 @@
 
 A production PALMED deployment characterizes a *fleet* — every machine
 model in the lab — and serves predictions from the resulting artifact
-registry.  :class:`FleetRunner` fans whole stage-graph runs out over
-:func:`repro.runtime.run_lanes`: machine ``i`` runs on
-lane ``i % workers``, and each lane process runs the full checkpointed
-pipeline for its machines and saves both the per-stage checkpoints and
-the final mapping artifact into a shared registry directory.
+registry.  :class:`FleetRunner` submits one whole stage-graph run per
+machine to a :class:`concurrent.futures.ProcessPoolExecutor`; each worker
+process runs the full checkpointed pipeline for its machine and saves
+both the per-stage checkpoints and the final mapping artifact into a
+shared registry directory.
 
 Checkpoints make the fan-out restartable for free: a fleet run that dies
 halfway loses at most the stages in flight, and re-submitting the same
 fleet resumes every machine from its last finished stage.  Writes are
 atomic (tempfile + rename) and keyed by machine fingerprint, so
-concurrent lanes never clobber each other.
+concurrent workers never clobber each other.
 """
 
 from __future__ import annotations
 
+import functools
+import warnings
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.palmed.config import PalmedConfig
 from repro.palmed.result import PalmedStats
-from repro.runtime import run_lanes
 
 
 @dataclass(frozen=True)
@@ -61,19 +64,10 @@ class FleetOutcome:
         return sum(1 for hit in self.checkpoint_hits.values() if hit)
 
 
-@dataclass(frozen=True)
-class _FleetContext:
-    """Shared worker context: everything but the per-machine spec."""
-
-    registry_root: str
-    config: PalmedConfig
-    resume: bool
-
-
-def _characterize_chunk(
-    context: _FleetContext, specs: List[FleetMachine]
-) -> List[FleetOutcome]:
-    """Characterize a chunk of machines (runs in-process or in a lane)."""
+def _characterize_one(
+    registry_root: str, config: PalmedConfig, resume: bool, spec: FleetMachine
+) -> FleetOutcome:
+    """Characterize one machine (runs in-process or in a pool worker)."""
     # Imports kept local so the module stays importable in fleet worker
     # processes before the full package graph is warm.
     from repro.artifacts import ArtifactRegistry, MappingArtifact
@@ -82,37 +76,31 @@ def _characterize_chunk(
     from repro.palmed.pipeline import Palmed
     from repro.simulator import PortModelBackend
 
-    registry = ArtifactRegistry(context.registry_root)
-    outcomes: List[FleetOutcome] = []
-    for spec in specs:
-        machine = build_machine(
-            spec.machine, n_instructions=spec.isa_size, seed=spec.seed
-        )
-        backend = PortModelBackend(machine)
-        palmed = Palmed(
-            backend,
-            machine.benchmarkable_instructions(),
-            context.config,
-            registry=registry,
-            resume=context.resume,
-        )
-        result = palmed.run()
-        path = registry.save(MappingArtifact.from_result(result, machine))
-        outcomes.append(
-            FleetOutcome(
-                spec=spec,
-                machine_name=machine.name,
-                machine_fingerprint=machine_fingerprint(machine),
-                stats=result.stats,
-                artifact_path=str(path),
-                checkpoint_hits=dict(result.stats.stage_checkpoint_hits),
-            )
-        )
-    return outcomes
+    registry = ArtifactRegistry(registry_root)
+    machine = build_machine(
+        spec.machine, n_instructions=spec.isa_size, seed=spec.seed
+    )
+    palmed = Palmed(
+        PortModelBackend(machine),
+        machine.benchmarkable_instructions(),
+        config,
+        registry=registry,
+        resume=resume,
+    )
+    result = palmed.run()
+    path = registry.save(MappingArtifact.from_result(result, machine))
+    return FleetOutcome(
+        spec=spec,
+        machine_name=machine.name,
+        machine_fingerprint=machine_fingerprint(machine),
+        stats=result.stats,
+        artifact_path=str(path),
+        checkpoint_hits=dict(result.stats.stage_checkpoint_hits),
+    )
 
 
 class FleetRunner:
-    """Characterize a fleet of machines over lane-pinned worker processes.
+    """Characterize a fleet of machines, one worker process per machine.
 
     Parameters
     ----------
@@ -121,11 +109,10 @@ class FleetRunner:
         final mapping artifacts for every machine).
     config:
         Pipeline configuration applied to every machine; each machine's
-        measurements and LP solves run inside its lane.
+        measurements and LP solves run inside its worker process.
     workers:
-        Lane processes for the machine fan-out (``0``/``1`` = sequential
-        in-process).  Machine ``i`` always runs on lane ``i % workers``;
-        one machine never spans two lanes.
+        Worker processes for the machine fan-out (``0``/``1`` = sequential
+        in-process).  One machine never spans two workers.
     resume:
         Serve stages from existing checkpoints (on by default: it is what
         makes a re-submitted fleet run cheap).
@@ -148,25 +135,46 @@ class FleetRunner:
         workers: int = 0,
         resume: bool = True,
     ) -> None:
+        if workers < 0:
+            raise ValueError("workers must be non-negative")
         self.registry_root = str(registry_root)
         self.config = config if config is not None else PalmedConfig()
         self.workers = workers
         self.resume = resume
 
     def characterize(self, specs: Sequence[FleetMachine]) -> List[FleetOutcome]:
-        """Run the full stage graph for every machine; outcomes in input order."""
-        context = _FleetContext(
-            registry_root=self.registry_root,
-            config=self.config,
-            resume=self.resume,
+        """Run the full stage graph for every machine; outcomes in input order.
+
+        With more than one worker and machine, a process pool runs the
+        machines.  A pool that cannot start or be fed (``OSError``) or that
+        loses a worker (``BrokenProcessPool``) falls back, with a warning,
+        to running every machine here.  An exception raised by a machine's
+        own run propagates with its own type, ``OSError`` included.
+        """
+        specs = list(specs)
+        run = functools.partial(
+            _characterize_one, self.registry_root, self.config, self.resume
         )
-        # One machine per chunk: machines are coarse work items, and the
-        # per-chunk overhead (one registry open) is negligible.
-        chunks = [[spec] for spec in specs]
-        results = run_lanes(
-            _characterize_chunk, chunks, context, self.workers, name="fleet-lane"
-        )
-        return [outcome for chunk in results for outcome in chunk]
+        if self.workers > 1 and len(specs) > 1:
+            try:
+                # Only the pool itself raises in this block: a machine's
+                # exception waits in its future, and leaving the block
+                # waits for every machine to finish.
+                with ProcessPoolExecutor(min(self.workers, len(specs))) as pool:
+                    futures = [pool.submit(run, spec) for spec in specs]
+            except (OSError, BrokenProcessPool) as error:
+                failure = error
+            else:
+                try:
+                    return [future.result() for future in futures]
+                except BrokenProcessPool as error:
+                    failure = error
+            warnings.warn(
+                f"parallel execution unavailable ({failure!r}); "
+                "falling back to in-process execution",
+                stacklevel=2,
+            )
+        return [run(spec) for spec in specs]
 
     @staticmethod
     def format_table(outcomes: Sequence[FleetOutcome]) -> str:

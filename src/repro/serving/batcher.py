@@ -5,9 +5,9 @@ order of magnitude faster per kernel than the scalar path — but only when
 asked about many kernels at once.  :class:`MicroBatcher` converts
 request-at-a-time traffic into that shape: submitters enqueue individual
 payloads (pre-lowered kernels) and immediately receive a
-:class:`~concurrent.futures.Future`; a dedicated scheduler thread (a
-:class:`~repro.runtime.WorkerLane`) drains the queue, evaluates one
-coalesced batch, and resolves every future.
+:class:`~concurrent.futures.Future`; the batcher's own daemon scheduler
+thread drains the queue, evaluates one coalesced batch, and resolves
+every future.
 
 Batching policy
 ---------------
@@ -48,7 +48,6 @@ from collections import deque
 from concurrent.futures import Future
 from typing import Callable, Deque, List, Optional, Sequence, Tuple
 
-from repro.runtime import WorkerLane
 from repro.serving.errors import (
     ServiceClosedError,
     ServiceOverloadedError,
@@ -123,22 +122,31 @@ class MicroBatcher:
         self._pending = 0
         self._waiting = 0  # scheduler threads blocked on the condition
         self._closed = False
-        self._lane = WorkerLane(self._drain_once, name=f"batcher-{label[:16]}")
+        self._stop = threading.Event()
+        self._thread: Optional[threading.Thread] = None
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> "MicroBatcher":
+        """Start the scheduler thread (idempotent; restarts after close)."""
         with self._cond:
             self._closed = False
-        self._lane.start()
+            if not self.running:
+                self._stop.clear()
+                self._thread = threading.Thread(
+                    target=self._run,
+                    name=f"batcher-{self.label[:16]}",
+                    daemon=True,
+                )
+                self._thread.start()
         return self
 
     def close(self, drain: bool = True, timeout: float = 10.0) -> None:
         """Refuse new submissions; optionally drain what is already queued.
 
         With ``drain=True`` (the default) the scheduler keeps flushing
-        until the queue is empty before the lane stops, so every admitted
+        until the queue is empty before its thread stops, so every admitted
         request still gets its response.  With ``drain=False``, when the
-        lane was never started, or when the drain timeout expires with a
+        thread was never started, or when the drain timeout expires with a
         backlog, the still-queued futures are failed with
         :class:`ServiceClosedError` — explicitly, never silently: every
         admitted request either resolves or raises.
@@ -146,12 +154,12 @@ class MicroBatcher:
         with self._cond:
             self._closed = True
             self._cond.notify_all()
-        if drain and self._lane.running:
+        if drain and self.running:
             deadline = time.perf_counter() + timeout
             with self._cond:
                 while self._entries and time.perf_counter() < deadline:
                     self._cond.wait(0.05)
-        # Whatever is still queued (never-started lane, drain=False, or a
+        # Whatever is still queued (never-started thread, drain=False, or a
         # drain that timed out) is failed explicitly.
         with self._cond:
             abandoned = list(self._entries)
@@ -168,11 +176,15 @@ class MicroBatcher:
                 )
         if abandoned_kernels:
             self.stats.record_abandoned(abandoned_kernels)
-        self._lane.stop(join=True, timeout=timeout)
+        self._stop.set()
+        thread = self._thread
+        if thread is not None and thread.is_alive():
+            thread.join(timeout)
 
     @property
     def running(self) -> bool:
-        return self._lane.running
+        thread = self._thread
+        return thread is not None and thread.is_alive()
 
     @property
     def pending(self) -> int:
@@ -236,6 +248,11 @@ class MicroBatcher:
         return future
 
     # -- scheduling ----------------------------------------------------------
+    def _run(self) -> None:
+        """The scheduler thread: gather-and-flush cycles until stopped."""
+        while not self._stop.is_set():
+            self._drain_once(self._stop)
+
     def _pop_locked(self, batch: List[_Entry], gathered: int) -> int:
         """Move queued entries into ``batch`` up to the kernel cap."""
         entries = self._entries
@@ -246,7 +263,7 @@ class MicroBatcher:
         return gathered
 
     def _drain_once(self, stop: threading.Event) -> None:
-        """One gather-and-flush cycle (the worker-lane body)."""
+        """One gather-and-flush cycle of the scheduler thread."""
         batch: List[_Entry] = []
         with self._cond:
             while not self._entries and not self._closed and not stop.is_set():
@@ -331,7 +348,7 @@ class MicroBatcher:
                             results[position : position + entry.width]
                         )
                 except Exception:  # pragma: no cover - future in a bad state
-                    pass  # never let one future wedge the whole lane
+                    pass  # never let one future wedge the scheduler
                 position += entry.width
 
             now = time.perf_counter()

@@ -80,8 +80,8 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%S%z")
 
 
-def _connect(database: str, uri: bool = False) -> sqlite3.Connection:
-    connection = sqlite3.connect(database, uri=uri)
+def _connect(database: str) -> sqlite3.Connection:
+    connection = sqlite3.connect(database)
     connection.executescript(_SCHEMA)
     return connection
 
@@ -312,17 +312,31 @@ def telemetry_session(
 
 
 class Warehouse:
-    """Read-side access to a telemetry database.
+    """Read-only access to a telemetry database.
 
-    The file must already exist (``mode=rw``): a mistyped path raises
-    ``sqlite3.OperationalError`` instead of creating an empty warehouse.
+    The file is opened with ``mode=ro`` and never changed: a mistyped path
+    raises ``sqlite3.OperationalError`` instead of creating an empty
+    warehouse, a sqlite file without a ``runs`` table raises
+    ``sqlite3.DatabaseError``, and so does a statement that writes.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        self._connection = _connect(
-            self.path.resolve().as_uri() + "?mode=rw", uri=True
+        self._connection = sqlite3.connect(
+            self.path.resolve().as_uri() + "?mode=ro", uri=True
         )
+        try:
+            runs = self._connection.execute(
+                "SELECT 1 FROM sqlite_master "
+                "WHERE type = 'table' AND name = 'runs'"
+            ).fetchone()
+            if runs is None:
+                raise sqlite3.DatabaseError(
+                    f"{self.path} is not a telemetry warehouse"
+                )
+        except sqlite3.Error:
+            self._connection.close()
+            raise
         self._connection.row_factory = sqlite3.Row
 
     def close(self) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import os
 import warnings
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from repro.artifacts import ArtifactRegistry
 from repro.measure.fingerprint import machine_fingerprint
 from repro.palmed import PalmedConfig
-from repro.pipeline import FleetMachine, FleetRunner
+from repro.pipeline import CoreMappingStage, FleetMachine, FleetRunner
 
 
 def fleet_config() -> PalmedConfig:
@@ -27,6 +28,18 @@ SPECS = [
     FleetMachine("toy"),
     FleetMachine("skl", isa_size=12, seed=2),
 ]
+
+
+def fallback_warnings(caught):
+    return [
+        warning
+        for warning in caught
+        if "parallel execution unavailable" in str(warning.message)
+    ]
+
+
+def deterministic(outcomes):
+    return [outcome.stats.deterministic_dict() for outcome in outcomes]
 
 
 @pytest.fixture(scope="module")
@@ -54,9 +67,14 @@ class TestFleetRunner:
             )
         assert len(registry.entries()) == 2
 
-    def test_parallel_fleet_matches_sequential(self, sequential_outcomes, tmp_path):
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_parallel_fleet_matches_sequential(
+        self, sequential_outcomes, tmp_path, workers
+    ):
         outcomes, root = sequential_outcomes
-        runner = FleetRunner(str(tmp_path / "fleet-par"), fleet_config(), workers=2)
+        runner = FleetRunner(
+            str(tmp_path / "fleet-par"), fleet_config(), workers=workers
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no in-process fallback
             parallel = runner.characterize(SPECS)
@@ -70,6 +88,71 @@ class TestFleetRunner:
                 parallel_registry.load(par.machine_fingerprint).mapping.to_dict()
                 == sequential_registry.load(seq.machine_fingerprint).mapping.to_dict()
             )
+
+    def test_machine_oserror_propagates_with_its_type_and_no_fallback(
+        self, tmp_path
+    ):
+        # A registry root that is a regular file fails inside each
+        # machine's own run; that OSError is the machine's, not the pool's.
+        not_a_directory = tmp_path / "registry"
+        not_a_directory.write_text("a regular file")
+        raised = {}
+        for workers in (0, 2):
+            runner = FleetRunner(str(not_a_directory), fleet_config(), workers)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(OSError) as error:
+                    runner.characterize(SPECS)
+            assert fallback_warnings(caught) == []
+            raised[workers] = type(error.value)
+        assert raised[2] is raised[0]
+
+    def test_pool_that_cannot_start_falls_back_in_process(
+        self, sequential_outcomes, tmp_path, monkeypatch
+    ):
+        def no_pool(*args, **kwargs):
+            raise OSError("cannot start worker processes")
+
+        monkeypatch.setattr("repro.pipeline.fleet.ProcessPoolExecutor", no_pool)
+        outcomes, _ = sequential_outcomes
+        runner = FleetRunner(str(tmp_path / "fleet"), fleet_config(), workers=2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fallback = runner.characterize(SPECS)
+        assert len(fallback_warnings(caught)) == 1
+        assert deterministic(fallback) == deterministic(outcomes)
+
+    def test_worker_death_mid_machine_falls_back_in_process(
+        self, sequential_outcomes, tmp_path, monkeypatch
+    ):
+        # Forked workers inherit the patch: a worker dies once its machine
+        # reaches the core stage, after the first two were checkpointed.
+        parent = os.getpid()
+        core_run = CoreMappingStage.run
+
+        def die_in_a_worker(self, context, inputs):
+            if os.getpid() != parent:
+                os._exit(1)
+            return core_run(self, context, inputs)
+
+        monkeypatch.setattr(CoreMappingStage, "run", die_in_a_worker)
+        outcomes, _ = sequential_outcomes
+        runner = FleetRunner(str(tmp_path / "fleet"), fleet_config(), workers=2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fallback = runner.characterize(SPECS)
+        assert len(fallback_warnings(caught)) == 1
+        assert deterministic(fallback) == deterministic(outcomes)
+        # The machine whose worker died resumes from that worker's
+        # checkpoints.
+        assert any(outcome.checkpoint_hits["selection"] for outcome in fallback)
+
+    def test_empty_fleet_and_negative_workers(self, tmp_path):
+        for workers in (0, 2):
+            runner = FleetRunner(str(tmp_path), fleet_config(), workers=workers)
+            assert runner.characterize([]) == []
+        with pytest.raises(ValueError):
+            FleetRunner(str(tmp_path), fleet_config(), workers=-1)
 
     def test_resubmitted_fleet_resumes_from_checkpoints(self, sequential_outcomes):
         outcomes, root = sequential_outcomes

@@ -33,7 +33,6 @@ from repro.measure.fingerprint import machine_fingerprint
 from repro.palmed.result import PalmedStats
 from repro.predictors import MappingMatrix, PalmedPredictor
 from repro.predictors.batch import LoweredBatchBuilder, instruction_id
-from repro.runtime import WorkerLane
 from repro.serving import (
     HotMappingCache,
     LineProtocolServer,
@@ -139,32 +138,6 @@ def reference_predictors(toy_machine, small_skl_machine):
     }
 
 
-class TestWorkerLane:
-    def test_runs_body_until_stopped(self):
-        ticks = []
-        done = threading.Event()
-
-        def body(stop):
-            ticks.append(1)
-            done.set()
-            stop.wait(0.01)
-
-        lane = WorkerLane(body, name="test-lane").start()
-        assert done.wait(5.0)
-        assert lane.running
-        lane.stop(join=True)
-        assert not lane.running
-        assert ticks
-
-    def test_start_stop_idempotent(self):
-        lane = WorkerLane(lambda stop: stop.wait(0.01))
-        lane.start()
-        lane.start()
-        lane.stop()
-        lane.stop()
-        assert not lane.running
-
-
 class TestMicroBatcher:
     def test_coalesces_queued_submissions_into_one_batch(self):
         batches = []
@@ -180,6 +153,33 @@ class TestMicroBatcher:
         batcher.close()
         assert batches and max(batches) > 1, "queued burst should coalesce"
         assert sum(batches) == 10
+
+    def test_start_and_close_are_idempotent_and_restartable(self):
+        label = "restartable-test"
+
+        def scheduler_threads():
+            return [
+                thread
+                for thread in threading.enumerate()
+                if thread.name == f"batcher-{label}"
+            ]
+
+        batcher = MicroBatcher(lambda payloads: list(payloads), label=label)
+        batcher.start()
+        batcher.start()
+        assert batcher.running
+        assert len(scheduler_threads()) == 1
+        batcher.close()
+        batcher.close()
+        assert not batcher.running
+        assert scheduler_threads() == []
+        batcher.start()
+        try:
+            assert batcher.submit(7).result(5.0) == 7
+            assert len(scheduler_threads()) == 1
+        finally:
+            batcher.close()
+        assert not batcher.running
 
     def test_max_batch_size_respected(self):
         batches = []

@@ -486,6 +486,37 @@ class TestStatsCli:
         assert captured.out == ""
         assert not typo.exists()
 
+    def test_sqlite_file_that_is_no_warehouse_is_refused_untouched(
+        self, tmp_path, capsys
+    ):
+        other = tmp_path / "other.sqlite"
+        connection = sqlite3.connect(str(other))
+        connection.execute("CREATE TABLE notes (body TEXT)")
+        connection.commit()
+        connection.close()
+        assert self._main("stats", "--db", str(other), "runs") == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "not a telemetry warehouse" in captured.err
+        assert captured.out == ""
+        connection = sqlite3.connect(str(other))
+        tables = connection.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'"
+        ).fetchall()
+        connection.close()
+        assert tables == [("notes",)]
+
+    def test_writing_sql_is_refused_and_changes_nothing(self, tmp_path, capsys):
+        db = tmp_path / "wh.sqlite"
+        with telemetry_session(db, kind="unit"):
+            pass
+        argv = ["stats", "--db", str(db), "--sql", "DELETE FROM runs"]
+        assert self._main(*argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        with Warehouse(db) as warehouse:
+            _, rows = warehouse.query("SELECT COUNT(*) FROM runs")
+        assert rows == [(1,)]
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -505,6 +536,8 @@ class TestStatsCli:
         # A warehouse written by an older version may hold tables this one
         # never creates: it still opens, and --sql still reads them.
         db = tmp_path / "wh.sqlite"
+        with telemetry_session(db, kind="unit"):
+            pass
         connection = sqlite3.connect(str(db))
         connection.execute(
             "CREATE TABLE retired_records (source TEXT, metric TEXT, value REAL)"
@@ -515,7 +548,7 @@ class TestStatsCli:
         connection.commit()
         connection.close()
         assert self._main("stats", "--db", str(db), "runs") == 0
-        assert "(0 rows)" in capsys.readouterr().out
+        assert "(1 row)" in capsys.readouterr().out
         assert (
             self._main(
                 "stats", "--db", str(db), "--json",
